@@ -1,11 +1,10 @@
 """Distribution-drift checks against a stored reference profile.
 
 Categorical columns (role/tool/event_type...) -> per-block value
-counts pre-aggregated in ``map_batches``, merged in a tiny
-``groupby(value).sum`` shuffle; numeric/text-length distributions ->
-per-block TDigest partials merged driver-side. PSI and KS statistics
-are computed on the driver from the merged summaries (they are
-O(bins), never O(rows)).
+counts pre-aggregated in ``map_batches`` and folded on the driver;
+numeric/text-length distributions -> per-block TDigest partials
+merged driver-side. PSI and KS statistics are computed on the driver
+from the merged summaries (they are O(bins), never O(rows)).
 """
 
 from __future__ import annotations
@@ -21,7 +20,10 @@ from ..state.sketches import TDigest
 
 
 def categorical_histogram(ds, column: str) -> Dict[str, int]:
-    """value -> count, computed with per-block pre-aggregation."""
+    """str(value) -> count. Each block pre-aggregates to its distinct
+    values; the driver folds those partials (a categorical domain is
+    small), so there is no exchange, and null keys, which a sort-based
+    groupby cannot order against strings, count as ``"None"``."""
 
     def pre_agg(batch: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(batch.select([column]), [column])
@@ -31,11 +33,11 @@ def categorical_histogram(ds, column: str) -> Dict[str, int]:
     partial = ds.map_batches(pre_agg, batch_format="pyarrow",
                              zero_copy_batch=True)
     out: Dict[str, int] = {}
-    for batch in partial.groupby(column).sum("cnt") \
-            .iter_batches(batch_format="pyarrow"):
-        batch = batch.rename_columns([column, "cnt"])
+    # block by block: an all-null block's key column is typed null
+    for batch in partial.iter_batches(batch_format="pyarrow",
+                                      batch_size=None):
         for v, c in zip(batch[column].to_pylist(), batch["cnt"].to_pylist()):
-            out[str(v)] = int(c)
+            out[str(v)] = out.get(str(v), 0) + int(c)
     return out
 
 

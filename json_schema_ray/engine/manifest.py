@@ -26,7 +26,7 @@ from typing import List, Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .table_validator import TablePlan, validate_batch, verdict_mask
+from .table_validator import TablePlan, validate_batch
 
 
 def _fragment_id(path: str) -> str:
@@ -78,10 +78,12 @@ def run_resumable_validation(
             viol_tables = []
             for rb in pf.iter_batches():
                 t = pa.Table.from_batches([rb])
-                ok = verdict_mask(t, plan)
-                total += len(ok)
-                valid += int(ok.sum())
-                v = validate_batch(t, plan)
+                # one plan evaluation: a row is valid iff it has no
+                # violation row
+                v, n_invalid = validate_batch(t, plan,
+                                              with_invalid_count=True)
+                total += t.num_rows
+                valid += t.num_rows - n_invalid
                 if v.num_rows:
                     viol_tables.append(v)
             viol = (pa.concat_tables(viol_tables) if viol_tables

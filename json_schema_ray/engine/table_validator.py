@@ -12,7 +12,10 @@ messages are materialized ONLY for failing rows (the vectorized
 analogue of fail_fast's "skip error materialization" optimization,
 reference validator.rb:16-23). Columns whose subschema uses keywords
 with no columnar lowering fall back to the row interpreter on just
-that column's cells — never the whole row.
+that column's cells. Schema-form dependencies and allOf/anyOf/oneOf/
+not on the row object lower to combinations of sub-plan verdicts; the
+whole-row interpreter then runs only on the rows that fail them (see
+``TablePlan.row_checks`` and ``full_row_fallback``).
 
 Arrow-type mapping (documented engine semantics for tabular data):
 
@@ -199,8 +202,18 @@ class TablePlan:
     max_properties: Optional[int] = None
     strict_properties: bool = False
     strict_allowed: Optional[set] = None
-    # residual top-level keywords (schema-form dependencies, enum,
-    # combinators on the row object, ...) -> whole-row interpreter
+    # schema-form dependencies and allOf/anyOf/oneOf/not on the row
+    # object, lowered to combinations of sub-plan verdicts: entries are
+    # (kind, trigger column or None, [TablePlan]) with kind one of
+    # "dependency", "all_of", "any_of", "one_of", "not". Sub-plans
+    # compile against the same Arrow schema and never join ``columns``.
+    row_checks: List[tuple] = field(default_factory=list)
+    # the schema's type excludes "object": no row passes
+    object_type_ok: bool = True
+    # top-level keywords with no lowering (enum, a schema-valued
+    # additionalProperties, a row-level subschema that needs the whole
+    # row, a $ref cycle, row-level keywords over JSON-cell columns)
+    # -> every row goes to the whole-row interpreter
     full_row_fallback: bool = False
 
     def violation_schema(self) -> pa.Schema:
@@ -652,14 +665,53 @@ def _map_ok_mask(col, cp: ColumnPlan) -> np.ndarray:
     return ok
 
 
+def _lower_row_keywords(schema: Schema, table_arrow_schema: pa.Schema,
+                        json_columns: set, stack: tuple):
+    """Compile the row-level subschemas of schema-form dependencies and
+    allOf/anyOf/oneOf/not (validator.rb:155-214, applied to the row
+    object) into sub-plans over the same table.
+
+    Returns ``(row_checks, whole_row)``; ``whole_row`` is True when
+    any of them cannot lower: a subschema that itself needs the whole
+    row, a $ref cycle back into ``stack`` (the schemas being compiled),
+    or JSON-cell columns, which the whole-row interpreter reads as raw
+    strings while a sub-plan would decode them."""
+    parts = [("dependency", key, [dep])
+             for key, dep in schema.dependencies.items()
+             if not isinstance(dep, list)]
+    for kind in ("all_of", "any_of", "one_of"):
+        if getattr(schema, kind):
+            parts.append((kind, None, list(getattr(schema, kind))))
+    if schema.not_ is not None:
+        parts.append(("not", None, [schema.not_]))
+    if not parts:
+        return [], False
+    if json_columns & set(table_arrow_schema.names):
+        return [], True
+    row_checks = []
+    for kind, trigger, subs in parts:
+        plans = []
+        for sub in subs:
+            if not isinstance(sub, Schema) or id(sub) in stack:
+                return [], True
+            p = compile_table_plan(sub, table_arrow_schema, _stack=stack)
+            if p.full_row_fallback:
+                return [], True
+            plans.append(p)
+        row_checks.append((kind, trigger, plans))
+    return row_checks, False
+
+
 def compile_table_plan(
     schema: Schema,
     table_arrow_schema: pa.Schema,
     key_columns: Optional[List[str]] = None,
     json_columns: Optional[set] = None,
+    _stack: tuple = (),
 ) -> TablePlan:
     """Lower a compiled object schema to a per-column validation plan
-    for a table with the given Arrow schema."""
+    for a table with the given Arrow schema. ``_stack`` holds the ids
+    of the enclosing schemas while row-level subschemas compile."""
     json_columns = json_columns or set()
     key_columns = list(key_columns or [])
     plans: List[ColumnPlan] = []
@@ -752,17 +804,16 @@ def compile_table_plan(
                 if rx.search(f):
                     allowed.add(f)
 
-    simple_deps = []
-    full_row_fallback = False
-    for key, dep in schema.dependencies.items():
-        if isinstance(dep, list):
-            simple_deps.append((key, list(dep)))
-        else:
-            # schema-form dependency: whole-row semantics
-            full_row_fallback = True
-    if (schema.enum is not None or schema.all_of or schema.any_of
-            or schema.one_of or schema.not_ is not None):
-        full_row_fallback = True
+    simple_deps = [(key, list(dep))
+                   for key, dep in schema.dependencies.items()
+                   if isinstance(dep, list)]
+    full_row_fallback = schema.enum is not None or isinstance(
+        schema.additional_properties, Schema)
+    row_checks = []
+    if not full_row_fallback:
+        row_checks, full_row_fallback = _lower_row_keywords(
+            schema, table_arrow_schema, json_columns,
+            _stack + (id(schema),))
 
     strict_allowed = None
     if schema.strict_properties:
@@ -790,6 +841,8 @@ def compile_table_plan(
         max_properties=schema.max_properties,
         strict_properties=bool(schema.strict_properties),
         strict_allowed=strict_allowed,
+        row_checks=row_checks,
+        object_type_ok=not schema.type or "object" in schema.type,
         full_row_fallback=full_row_fallback,
     )
 
@@ -1252,6 +1305,39 @@ def _present_counts(batch: pa.Table) -> np.ndarray:
     return counts
 
 
+def _dependency_triggered(col) -> np.ndarray:
+    """Rows where a dependency's trigger key is present: a null cell is
+    an absent key, and Ruby truthiness keeps false from triggering
+    (validator.rb:201-214)."""
+    triggered = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    if pa.types.is_boolean(col.type):
+        triggered &= pc.fill_null(col, False).to_numpy(zero_copy_only=False)
+    return triggered
+
+
+def _row_checks_ok(batch: pa.Table, plan: TablePlan) -> np.ndarray:
+    """Combined verdict of the lowered row-level keywords: dependency =
+    not triggered or sub-verdict, allOf = AND, anyOf = OR, oneOf =
+    exactly one, not = NOT."""
+    ok = np.ones(batch.num_rows, dtype=bool)
+    for kind, trigger, subs in plan.row_checks:
+        if kind == "dependency":
+            if trigger in batch.column_names:
+                ok &= (~_dependency_triggered(batch[trigger])
+                       | verdict_mask(batch, subs[0]))
+            continue
+        verdicts = [verdict_mask(batch, p) for p in subs]
+        if kind == "all_of":
+            ok &= np.logical_and.reduce(verdicts)
+        elif kind == "any_of":
+            ok &= np.logical_or.reduce(verdicts)
+        elif kind == "one_of":
+            ok &= np.sum(verdicts, axis=0) == 1
+        else:
+            ok &= ~verdicts[0]
+    return ok
+
+
 def verdict_mask(batch: pa.Table, plan: TablePlan) -> np.ndarray:
     """Boolean per-row verdict (the fail_fast analogue: no message
     materialization, just masks AND-ed together)."""
@@ -1263,6 +1349,9 @@ def verdict_mask(batch: pa.Table, plan: TablePlan) -> np.ndarray:
         for i, doc in enumerate(_batch_documents(batch)):
             ok[i] = v.validate(doc, fail_fast=True)
         return ok
+    if not plan.object_type_ok:
+        return np.zeros(n, dtype=bool)
+    ok &= _row_checks_ok(batch, plan)
 
     for name in plan.required:
         if name in batch.column_names:
@@ -1280,12 +1369,7 @@ def verdict_mask(batch: pa.Table, plan: TablePlan) -> np.ndarray:
     for trigger, req_cols in plan.simple_dependencies:
         if trigger not in batch.column_names:
             continue
-        tcol = batch[trigger]
-        triggered = pc.is_valid(tcol).to_numpy(zero_copy_only=False)
-        if pa.types.is_boolean(tcol.type):
-            # Ruby truthiness: false doesn't trigger the dependency
-            triggered &= pc.fill_null(tcol, False) \
-                .to_numpy(zero_copy_only=False)
+        triggered = _dependency_triggered(batch[trigger])
         for rc in req_cols:
             present = (pc.is_valid(batch[rc])
                        .to_numpy(zero_copy_only=False)
@@ -1443,14 +1527,23 @@ def validate_batch(batch: pa.Table, plan: TablePlan,
     #               error_type, message, data_json)
     rows: list = []
 
-    if plan.full_row_fallback:
+    if plan.full_row_fallback or plan.row_checks or not plan.object_type_ok:
+        # messages from the whole-row interpreter, on every row under
+        # full_row_fallback, else only on the rows the combined
+        # verdict fails; rows keep their batch index
+        if plan.full_row_fallback:
+            idxs = np.arange(n)
+            sub_batch = batch
+        else:
+            idxs = np.nonzero(~verdict_mask(batch, plan))[0]
+            sub_batch = batch.take(pa.array(idxs, type=pa.int64()))
         v = Validator(plan.schema)
-        for i, doc in enumerate(_batch_documents(batch)):
+        for i, doc in zip(idxs, _batch_documents(sub_batch)):
             if not v.validate(doc):
                 for e in v.errors:
                     sub = "/".join(str(p) for p in e.path[1:])
                     rows.append((
-                        i, (0, 0), (0, 0, 0),
+                        int(i), (0, 0), (0, 0, 0),
                         "#" + ("/" + sub if sub else ""),
                         e.schema.pointer if e.schema else "#",
                         e.type, e.message, json.dumps(e.data, default=str)))
@@ -1541,11 +1634,7 @@ def validate_batch(batch: pa.Table, plan: TablePlan,
     for di, (trigger, req_cols) in enumerate(plan.simple_dependencies):
         if trigger not in batch.column_names:
             continue
-        tcol = batch[trigger]
-        triggered = pc.is_valid(tcol).to_numpy(zero_copy_only=False)
-        if pa.types.is_boolean(tcol.type):
-            triggered = triggered & pc.fill_null(tcol, False) \
-                .to_numpy(zero_copy_only=False)
+        triggered = _dependency_triggered(batch[trigger])
         miss_cols = {}
         for rc in req_cols:
             present = (pc.is_valid(batch[rc])

@@ -189,7 +189,6 @@ def validation_scan_summary(ds, plan: TablePlan,
     import pyarrow.compute as _pc
 
     from .stats import _PARTIAL_SCHEMA, _column_partial, _merge_partial
-    from .table_validator import validate_batch, verdict_mask
 
     counter_fields = [("total_rows", pa.int64()),
                       ("valid_rows", pa.int64()),
@@ -198,8 +197,8 @@ def validation_scan_summary(ds, plan: TablePlan,
         list(_PARTIAL_SCHEMA) + [pa.field(n, t) for n, t in counter_fields])
 
     def batch_fn(batch: pa.Table) -> pa.Table:
-        ok = verdict_mask(batch, plan)
-        viol = validate_batch(batch, plan)
+        viol, n_invalid = validate_batch(batch, plan,
+                                         with_invalid_count=True)
         rows = [_column_partial(n, batch[n], hll_p, False)
                 for n in batch.column_names]
         for r in rows:
@@ -209,8 +208,8 @@ def validation_scan_summary(ds, plan: TablePlan,
         rows.append({
             **{f.name: None for f in _PARTIAL_SCHEMA},
             "column": None,
-            "total_rows": len(ok),
-            "valid_rows": int(ok.sum()),
+            "total_rows": batch.num_rows,
+            "valid_rows": batch.num_rows - n_invalid,
             "violation_rows": viol.num_rows,
         })
         return pa.Table.from_pylist(rows, schema=out_schema)
@@ -251,7 +250,6 @@ def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
     """
     from .keys import ordering_batch_parts, stitch_edge_partials
     from .stats import _PARTIAL_SCHEMA, _column_partial, _finalize_stats, _merge_partial
-    from .table_validator import validate_batch, verdict_mask
 
     has_ts = ts_key in [f for f in (ds.schema().names or [])]
     if not presorted:

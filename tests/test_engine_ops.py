@@ -424,6 +424,27 @@ def test_drift_profile_roundtrip_and_psi():
     assert by_metric["ks"] < 0.05
 
 
+def test_categorical_histogram_nullable_column_over_blocks():
+    """Four blocks, half of each null: the null keys count as "None"
+    and the drift against the same data is zero."""
+    from json_schema_ray.engine.drift import (
+        ReferenceProfile, categorical_histogram)
+
+    t = pa.table({"tool": [None if i % 2 == 0 else "search"
+                           for i in range(400)]})
+    ds = _ray().data.from_arrow([t.slice(i * 100, 100) for i in range(4)])
+    assert categorical_histogram(ds, "tool") == {"None": 200, "search": 200}
+    # an all-null block's key column is typed null
+    mixed = _ray().data.from_arrow([
+        pa.table({"tool": pa.nulls(3, pa.string())}),
+        pa.table({"tool": pa.nulls(2)}),
+        pa.table({"tool": ["a", None, "a"]}),
+    ])
+    assert categorical_histogram(mixed, "tool") == {"None": 6, "a": 2}
+    prof = ReferenceProfile.build(ds, categorical=["tool"])
+    assert all(r["value"] == 0.0 for r in prof.compare(ds).to_pylist())
+
+
 def test_resumable_run_skips_done_fragments(tmp_path):
     from json_schema_ray.engine.manifest import run_resumable_validation
     from json_schema_ray.engine.validate import compile_plan_for

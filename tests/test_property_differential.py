@@ -161,6 +161,77 @@ def test_random_float_schemas_match_interpreter(f_schema, f_vals):
     assert got_errors == exp_errors
 
 
+# row-object subschemas over the columns s, n and b; row-level
+# combinators and schema-form dependencies nest them, so a dependency
+# can sit inside a combinator and the other way round
+object_subschemas = st.fixed_dictionaries({}, optional={
+    "type": st.sampled_from([["object"], ["string"], ["object", "null"]]),
+    "properties": st.fixed_dictionaries({}, optional={
+        "s": string_schemas, "n": number_schemas}),
+    "required": st.lists(st.sampled_from(["s", "n", "b"]), min_size=1,
+                         max_size=2, unique=True),
+    "minProperties": st.integers(1, 3),
+    "dependencies": st.fixed_dictionaries({}, optional={
+        "s": st.lists(st.sampled_from(["n", "b"]), min_size=1,
+                      max_size=2, unique=True)}),
+})
+
+
+def row_level_of(children):
+    return st.builds(
+        lambda base, extra: {**base, **extra},
+        object_subschemas,
+        st.fixed_dictionaries({}, optional={
+            "allOf": st.lists(children, min_size=1, max_size=2),
+            "anyOf": st.lists(children, min_size=1, max_size=2),
+            "oneOf": st.lists(children, min_size=1, max_size=2),
+            "not": children,
+            "dependencies": st.fixed_dictionaries({}, optional={
+                "b": children, "s": children, "n": children}),
+        }))
+
+
+row_schemas = st.recursive(object_subschemas, row_level_of, max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_schema=row_level_of(row_schemas),
+    s_schema=combinator_of(string_schemas),
+    s_vals=st.lists(string_values, min_size=1, max_size=8),
+    n_vals=st.lists(number_values, min_size=1, max_size=8),
+    b_vals=st.lists(st.sampled_from([None, False, True]), min_size=1,
+                    max_size=8),
+)
+def test_random_row_level_schemas_match_interpreter(r_schema, s_schema,
+                                                    s_vals, n_vals, b_vals):
+    """Row-level allOf/anyOf/oneOf/not and schema-form dependencies
+    lower to verdict masks; the interpreter's messages for the failing
+    rows must match it row by row, over two batches."""
+    n = max(len(s_vals), len(n_vals), len(b_vals))
+    table = pa.table({
+        "s": pa.array((s_vals * n)[:n], pa.string()),
+        "n": pa.array((n_vals * n)[:n], pa.int64()),
+        "b": pa.array((b_vals * n)[:n], pa.bool_()),
+    })
+    schema_json = dict(r_schema, properties={"s": s_schema})
+    plan = compile_plan_for(schema_json, table.schema)
+    has_row_keywords = any(k in r_schema for k in
+                           ("allOf", "anyOf", "oneOf", "not"))
+    if has_row_keywords or any(isinstance(d, dict) for d in
+                               r_schema.get("dependencies", {}).values()):
+        assert plan.row_checks and not plan.full_row_fallback
+    half = (n + 1) // 2
+    vec_verdicts, got_errors = [], []
+    for b in (table.slice(0, half), table.slice(half)):
+        vec_verdicts += list(verdict_mask(b, plan))
+        got_errors += [(r["path"], r["error_type"], r["message"])
+                       for r in validate_batch(b, plan).to_pylist()]
+    exp_verdicts, exp_errors = _oracle(table, schema_json)
+    assert vec_verdicts == exp_verdicts
+    assert got_errors == exp_errors
+
+
 tuple_slot_schemas = st.fixed_dictionaries({}, optional={
     "type": st.sampled_from([["string"], ["string", "null"]]),
     "minLength": st.integers(0, 4),

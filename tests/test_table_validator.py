@@ -457,7 +457,7 @@ def test_strict_properties_table_level():
     _diff_against_interpreter(table, schema_json)
 
 
-def test_schema_dependency_falls_back_to_full_row():
+def test_schema_dependency_lowers_to_verdict_mask():
     table = pa.table({
         "ssl": pa.array([True, None, True], pa.bool_()),
         "cost": pa.array([10.0, 5.0, 30.0], pa.float64()),
@@ -469,7 +469,158 @@ def test_schema_dependency_falls_back_to_full_row():
         },
     }
     plan = _diff_against_interpreter(table, schema_json)
-    assert plan.full_row_fallback
+    assert not plan.full_row_fallback
+    assert [k for k, _, _ in plan.row_checks] == ["dependency"]
+
+
+# ---------------------------------------------------------------------------
+# row-level keywords: schema-form dependencies and allOf/anyOf/oneOf/not on
+# the row object lower to verdict masks; the interpreter then runs only on
+# the rows whose combined verdict fails
+# ---------------------------------------------------------------------------
+
+def _row_table():
+    n = 12
+    return pa.table({
+        "id": pa.array(range(n), pa.int64()),
+        "a": pa.array(["x1", None, "y", "x", None, "zz", "x22", "y",
+                       None, "x", "q", "xy"], pa.string()),
+        "n": pa.array([3, 7, None, -1, 0, 12, None, 5, 2, None, 9, 4],
+                      pa.int64()),
+        "flag": pa.array([True, False, None, True, None, False, True,
+                          None, False, True, None, False], pa.bool_()),
+    })
+
+
+def _diff_batches_against_interpreter(table, schema_json, batch_rows=5):
+    """Validate ``table`` in batches of ``batch_rows`` and compare with
+    the interpreter row by row: verdicts, every violation's (id,
+    pointer, type, message), the first error per row and the
+    invalid-row count."""
+    plan = compile_plan_for(schema_json, table.schema, key_columns=["id"])
+    v = Validator(compile_schema(schema_json))
+    exp_verdicts, exp_all, exp_first = [], [], []
+    for row in table.to_pylist():
+        ok = v.validate(row_as_document(row))
+        exp_verdicts.append(ok)
+        errs = [(row["id"], e.pointer, e.type, e.message) for e in v.errors]
+        exp_all += errs
+        exp_first += errs[:1]
+    verdicts, got_all, got_first, invalid = [], [], [], 0
+    for off in range(0, table.num_rows, batch_rows):
+        b = table.slice(off, batch_rows)
+        verdicts += list(verdict_mask(b, plan))
+        viol, n_invalid = validate_batch(b, plan, with_invalid_count=True)
+        invalid += n_invalid
+        got_all += [(r["id"], r["path"], r["error_type"], r["message"])
+                    for r in viol.to_pylist()]
+        got_first += [(r["id"], r["path"], r["error_type"], r["message"])
+                      for r in validate_batch(
+                          b, plan, first_error_only=True).to_pylist()]
+    assert verdicts == exp_verdicts
+    assert got_all == exp_all
+    assert got_first == exp_first
+    assert invalid == exp_verdicts.count(False)
+    return plan
+
+
+ROW_COMBINATOR_SCHEMAS = {
+    "allOf": {"allOf": [
+        {"required": ["a"]},
+        {"properties": {"n": {"minimum": 0}}},
+    ]},
+    "anyOf": {"anyOf": [
+        {"required": ["a"], "properties": {"a": {"pattern": "^x"}}},
+        {"required": ["n"]},
+    ]},
+    "oneOf": {"oneOf": [
+        {"properties": {"a": {"pattern": "^x"}}},
+        {"properties": {"n": {"maximum": 5}}},
+        {"type": ["string"]},
+    ]},
+    "not": {"not": {"required": ["flag"],
+                    "properties": {"n": {"minimum": 3}}}},
+    "all four": {
+        "allOf": [{"minProperties": 2}],
+        "anyOf": [{"required": ["n"]}, {"required": ["flag"]}],
+        "oneOf": [{"required": ["a"]}, {"type": ["object", "null"]}],
+        "not": {"required": ["a", "n", "flag"]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_COMBINATOR_SCHEMAS))
+def test_row_level_combinators_match_interpreter(name):
+    schema_json = dict(ROW_COMBINATOR_SCHEMAS[name], type=["object"],
+                       properties={"a": {"type": ["string"]}})
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert not plan.full_row_fallback and plan.row_checks
+    assert all(cp.fallback_schema is None for cp in plan.columns)
+
+
+def test_dependency_triggers_match_interpreter():
+    """A boolean trigger fires only when true (null and false do not);
+    any other non-null trigger fires; a trigger column absent from the
+    table never fires."""
+    schema_json = {
+        "type": ["object"],
+        "dependencies": {
+            "flag": {"required": ["n"],
+                     "properties": {"n": {"minimum": 1}}},
+            "a": {"properties": {"n": {"maximum": 8}}},
+            "missing": {"required": ["nowhere"]},
+            "n": ["a"],
+        },
+    }
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert [k for k, _, _ in plan.row_checks] == ["dependency"] * 3
+    assert plan.simple_dependencies == [("n", ["a"])]
+
+
+def test_dependency_nested_in_combinator_matches_interpreter():
+    schema_json = {
+        "type": ["object"],
+        "anyOf": [
+            {"dependencies": {"flag": {"required": ["a"]}},
+             "properties": {"n": {"maximum": 6}}},
+            {"not": {"dependencies": {"a": {"required": ["n"]}}}},
+        ],
+        "dependencies": {
+            "n": {"oneOf": [{"required": ["a"]}, {"required": ["flag"]}]},
+        },
+    }
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert not plan.full_row_fallback
+    inner = plan.row_checks[1][2][0]  # the anyOf's first branch
+    assert [k for k, _, _ in inner.row_checks] == ["dependency"]
+
+
+def test_root_ref_cycle_falls_back_to_whole_row():
+    schema_json = {
+        "type": ["object"],
+        "properties": {"n": {"type": ["integer"], "maximum": 8}},
+        "dependencies": {"flag": {"$ref": "#"}},
+    }
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert plan.full_row_fallback and not plan.row_checks
+
+
+@pytest.mark.parametrize("extra", [
+    {"enum": [{"id": 0, "a": "x1", "n": 3, "flag": True}, {"id": 4}]},
+    {"allOf": [{"enum": [{"id": 0, "a": "x1", "n": 3, "flag": True}]}]},
+    {"dependencies": {"a": {"additionalProperties": {"type": ["integer"]},
+                            "properties": {"a": {}}}}},
+], ids=["top-level enum", "enum in allOf", "additionalProperties schema"])
+def test_unlowered_row_keywords_stay_whole_row(extra):
+    schema_json = dict(extra, type=["object"])
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert plan.full_row_fallback and not plan.row_checks
+
+
+def test_root_type_without_object_fails_every_row():
+    schema_json = {"type": ["array"], "properties": {"n": {"minimum": 0}}}
+    plan = _diff_batches_against_interpreter(_row_table(), schema_json)
+    assert not plan.object_type_ok and not plan.full_row_fallback
 
 
 def test_non_re2_patterns_fall_back_to_python_regex():
