@@ -1764,12 +1764,13 @@ def q_user_first_last_value(sf_dir: str):
 def q_user_range_sum_1h(sf_dir: str):
     """SQL RANGE-frame windowed sum: per user, sum/count of value
     over the trailing 1 hour, one row per distinct (user, ts)
-    (engine/window.py range_windowed_sum — prefix sums + an as-of
-    backward self-join realize the sliding frame with no
-    window-width carries). Values quantize to floor(v*1e4+0.5)
-    BIGINT per element BEFORE the prefix scan (fixed-point-before-
-    sum: exact integer prefix sums, no float cancellation), matching
-    the oracle's sum of the same integers."""
+    (engine/window.py range_windowed_sum — one sort on (user, ts), a
+    two-pointer prefix-sum scan per sorted block, and a carry of each
+    block's first run and its last user's runs inside one window).
+    Values quantize to floor(v*1e4+0.5) BIGINT per element BEFORE the
+    prefix scan (fixed-point-before-sum: exact integer prefix sums,
+    no float cancellation), matching the oracle's sum of the same
+    integers."""
     import datetime
 
     from json_schema_ray.engine.window import range_windowed_sum
@@ -5156,7 +5157,7 @@ def q_events_peak_hour_rate(sf_dir: str):
     """Peak sustained rate per user — the max trailing-1-hour event
     count, the statistic a rate-limiter or abuse gate is actually
     about: engine/window.py range_windowed_sum's RANGE-frame count
-    (probe rows riding ONE sort, no as-of machinery, one row per
+    (one sort and a two-pointer scan per sorted block, one row per
     distinct (user, ts)) reduced by a combinable per-user MAX."""
     import datetime
 

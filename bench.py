@@ -56,7 +56,7 @@ EXTRA_QUERIES = [
     "events_prev_value",      # SQL LAG: one carry row per block
     "user_event_type_diversity_sorted",  # sorted exact distinct-per-key
     "user_event_ntile",        # row_number + ntile: sort + carries
-    "user_range_sum_1h",       # RANGE frame: probe rows on one sort
+    "user_range_sum_1h",       # RANGE frame: one sort + two-pointer scan
     "user_first_last_value",   # arg-extremes as one hash aggregate
     "lineitems_small_parts",   # bloom pre-filter + exact semi verify
     "negbal_highvalue_full",   # full outer sort-merge join

@@ -303,10 +303,11 @@ def cumulative_sum(ds, key: str, ts: str, value: str,
     spanning every block costs two carry rows per block, never its
     timeline. NULL values don't contribute (SQL SUM ignores them); a
     row with no non-null value so far carries a NULL running_sum.
-    ``ts`` / ``tiebreak`` must be numeric or temporal (their values
-    cross block boundaries as float64 carry positions; a per-batch
-    string factorization would not be comparable across blocks —
-    int64 values beyond 2**53 lose tiebreak precision).
+    ``ts`` / ``tiebreak`` must be numeric or temporal: their values
+    cross block boundaries as exact carry positions (int64 for
+    integer and temporal columns, so nanosecond epochs and keys above
+    2**53 stay distinct; see :func:`_anchor_np`), while a per-batch
+    string factorization would not be comparable across blocks.
     """
     return _running_sums(ds, key, ts, [(value, "running_sum")],
                          tiebreak)
@@ -416,8 +417,8 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
     # driver receives ONLY the fixed-size carry rows (<= 2 per
     # block): the __rt filter runs DISTRIBUTED so full blocks never
     # cross to the driver node. Boundary positions travel as the same
-    # float64 encoding _order_np gives the resolve pass (nulls last
-    # as +inf), so float/temporal order columns are exact.
+    # exact anchors (_anchor_np) the resolve pass compares against:
+    # int64 for integer/temporal order columns, nulls last.
     def carry_only(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch["__rt"], 2))
 
@@ -428,14 +429,12 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
         if not kept.num_rows:
             continue
         kk = _group_key_expr(kept, [key]).to_pylist()
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
+        tsv = _anchor_np(kept, ts).tolist()
+        tbv = _anchor_np(kept, tiebreak).tolist()
         cols = [kept[o].to_pylist() for o in outs] + \
             [kept[cc].to_pylist() for cc in cnt_cols]
         for row in zip(kk, tsv, tbv, *cols):
-            kval, t, tb = row[0], row[1], row[2]
-            carry.setdefault(kval, []).append((float(t), float(tb))
-                                              + tuple(row[3:]))
+            carry.setdefault(row[0], []).append(row[1:])
 
     # per-key prefix offsets ordered by boundary (ts, tb): pre[i] =
     # sum of the first i carry segments, so a row preceded by i
@@ -445,8 +444,8 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
     offsets = {}
     for kval, segs in carry.items():
         segs.sort(key=lambda s: (s[0], s[1]))
-        last_a = np.array([s[0] for s in segs], dtype=np.float64)
-        last_b = np.array([s[1] for s in segs], dtype=np.float64)
+        last_a = np.asarray([s[0] for s in segs])
+        last_b = np.asarray([s[1] for s in segs])
         pre_s = []
         for i in range(m):
             vals = np.array([s[2 + i] for s in segs],
@@ -478,8 +477,8 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
         cnts = [kept[cc].combine_chunks()
                 .to_numpy(zero_copy_only=False).copy()
                 for cc in cnt_cols]
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
+        tsv = _anchor_np(kept, ts)
+        tbv = _anchor_np(kept, tiebreak)
         pend = np.nonzero(rt == 1)[0]
         for kval in np.unique(kk[pend]) if len(pend) else []:
             if kval not in offs:
@@ -1491,18 +1490,18 @@ def _shift_column(ds, key, ts: str, value: str, tiebreak: str,
         if not kept.num_rows:
             continue
         kk = _group_key_expr(kept, keys).to_pylist()
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
+        tsv = _anchor_np(kept, ts).tolist()
+        tbv = _anchor_np(kept, tiebreak).tolist()
         vals = kept[out].to_pylist()
         for kval, t, tb, v in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((float(t), float(tb), v))
+            carry.setdefault(kval, []).append((t, tb, v))
 
     offsets = {}
     for kval, segs in carry.items():
         segs.sort(key=lambda s: (s[0], s[1]))
         offsets[kval] = (
-            np.array([s[0] for s in segs], dtype=np.float64),
-            np.array([s[1] for s in segs], dtype=np.float64),
+            np.asarray([s[0] for s in segs]),
+            np.asarray([s[1] for s in segs]),
             [s[2] for s in segs])
 
     import ray
@@ -1520,8 +1519,8 @@ def _shift_column(ds, key, ts: str, value: str, tiebreak: str,
         if not len(pend):
             return kept.drop_columns(["__rt"])
         kk = _group_key_expr(kept, keys).to_numpy(zero_copy_only=False)
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
+        tsv = _anchor_np(kept, ts)
+        tbv = _anchor_np(kept, tiebreak)
         varr = kept[out]
         if isinstance(varr, pa.ChunkedArray):
             varr = varr.combine_chunks()

@@ -12,6 +12,14 @@ is O(n_blocks) and independent of any single key's event count,
 Zipf-hot keys included. No per-group Python (``map_groups``)
 anywhere: at 10^8 users the per-group task overhead would dominate
 the actual arithmetic.
+
+The RANGE-frame windowed sum (``range_windowed_sum``) has the same
+shape: one sort on ``(key, ts)``, one two-pointer scan per sorted
+block over its ``(key, ts)`` runs, and a window-tail carry. Each
+block ships its first run and the runs of its last key segment
+inside one window, three numbers per run, so driver memory is bounded
+by the block boundaries' keys and one window each, never by a key's
+full timeline.
 """
 
 from __future__ import annotations
@@ -43,6 +51,45 @@ def _same_adjacent_keys(col) -> np.ndarray:
     return eq | both_null
 
 
+_I64_MIN = np.iinfo(np.int64).min
+_US_PER_TICK = {"s": 1_000_000, "ms": 1_000, "us": 1}
+
+
+def _window_ticks(t: pa.DataType, win_us: int) -> int:
+    """A microsecond window in the int64 ticks of an order column of
+    type ``t``: its own unit for timestamps and durations, and
+    microseconds for integer columns. Raises if the window is not a
+    whole number of ticks."""
+    unit = getattr(t, "unit", "us")
+    if unit == "ns":
+        return win_us * 1_000
+    per = _US_PER_TICK[unit]
+    if win_us % per:
+        raise ValueError(
+            f"window ({win_us}us) is not a whole number of {t} ticks")
+    return win_us // per
+
+
+def _ticks_np(col):
+    """(int64 ticks, null mask) of a timestamp, duration or integer
+    column, in the column's own unit, with nulls filled by 0. Exact:
+    no float64 on the way, so nanosecond epochs keep every tick."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    iv = pc.cast(col, pa.int64())
+    return (pc.fill_null(iv, 0).to_numpy(zero_copy_only=False),
+            pc.is_null(iv).to_numpy(zero_copy_only=False))
+
+
+def _probe_ticks(tick: np.ndarray, win_ticks: int) -> np.ndarray:
+    """``tick - window - 1``: the last tick just outside each RANGE
+    frame, clipped at INT64_MIN instead of wrapping."""
+    back = win_ticks + 1
+    if back > -int(_I64_MIN):
+        return np.full(len(tick), _I64_MIN, np.int64)
+    return np.maximum(tick, _I64_MIN + back) - back
+
+
 def range_windowed_sum(ds, key: str, ts: str, value: str, window,
                        out: str = "range_sum",
                        cnt_out: str = "range_cnt",
@@ -52,44 +99,50 @@ def range_windowed_sum(ds, key: str, ts: str, value: str, window,
     ``count(value)``), one output row per DISTINCT ``(key, ts)`` —
     RANGE-frame peers share the sum by definition, so the
     ts-granular result is lossless. NULL values don't contribute;
-    a window with no non-null value yields NULL (SQL SUM).
+    a window with no non-null value yields NULL (SQL SUM). A NULL
+    ``ts`` orders last within its key and its frame is its NULL
+    peers (DuckDB's RANGE frame for a NULL order value). NULL keys
+    form one partition. ``window`` is a ``datetime.timedelta`` or
+    microseconds int; ``ts`` may be any temporal unit (the frame is
+    computed in the column's own int64 ticks — a window that isn't a
+    whole number of ticks raises) or an integer column counted in
+    microseconds.
 
-    Shape — TWO all-to-alls, no as-of machinery, no window-width
-    carries (hot keys never ship timelines): (1) per-block peer
-    combiner (no shuffle), then every (key, ts) partial emits a
-    CONTRIBUTION row at ``time = ts`` (kind 0) plus two zero-valued
-    probe rows — a WINDOW probe at ``time = ts - window - 1us``
-    (kind 1) and a READ probe at ``time = ts`` (kind 2); (2) ONE
-    null-safe sort by (key, time, kind) + the multi-column prefix
-    scan — probes sort after equal-time contributions, so the read
-    probe's running sum IS ``R(ts)`` and the window probe's IS
-    ``R(ts - window - 1us)``, sign-robust (no monotonicity
-    assumption) and peer-count-independent; (3) contributions drop
-    and a (key, ts)-sized groupby re-unites each ts's two probes
-    (MAX over the per-kind singleton) to emit
-    ``win(ts) = R(ts) - R(probe)`` — the prefix-sum difference
-    realizes the sliding frame. ``window`` is a
-    ``datetime.timedelta`` or microseconds int; ``ts`` may be any
-    temporal unit (the probe subtracts in the column's own ticks —
-    a window that isn't a whole number of ticks raises) or an
-    integer column counted in microseconds.
+    Shape — ONE null-safe sort on ``(key, ts)`` over the input rows,
+    then one scan per sorted block: equal ``(key, ts)`` collapse into
+    runs, prefix sums run over the runs, and one ``searchsorted`` on
+    ``(key segment, ts ticks)`` finds each run's frame start (the
+    first run after ``ts - window - 1``), so a run's frame is a
+    difference of two prefix sums. Only runs whose frame can cross
+    the block boundary are left pending: runs of the block's first
+    key segment whose frame reaches the block start, and the block's
+    last run (its peers may continue in the next block).
+
+    Carry: each block ships its first run and the runs of its last
+    key segment inside one window of its last ``ts``, as ``(ts, sum,
+    count)``. The driver folds them into per-key prefix sums over
+    ``ts`` and broadcasts them with ``ray.put``; a pending run adds
+    the carried sum over ``(ts - window - 1, ts]`` less its own
+    block's share. A ``(key, ts)`` run split across blocks is emitted
+    once, by the lowest block id that holds it, with all its peers
+    counted. Driver memory is bounded by the block boundaries: each
+    boundary's key contributes its runs inside one window, three
+    numbers per run (a hot key with a window wider than a block
+    ships that block's whole segment) — never a full timeline.
 
     Exactness: with ``scale`` set, each value quantizes to
-    ``floor(v * scale + 0.5)`` BEFORE the prefix scan (the repo's
+    ``floor(v * scale + 0.5)`` BEFORE any summation (the repo's
     fixed-point-before-sum discipline), every prefix sum is an
     integer represented exactly in float64, and the difference of
     two exact integers is exact — no cancellation, hash-stable vs a
     SQL oracle that sums the same quantized integers; ``out`` is
-    then int64. Envelope: any key's FULL-HISTORY prefix sum must
-    stay under 2^53 (|sum(v)| * scale < 9e15). Without ``scale``
-    the sum is raw float64 prefix differences (last-ulp sensitive
-    vs direct-summation oracles)."""
+    then int64. Envelope: any key's prefix sum within one block or
+    carry must stay under 2^53 (|sum(v)| * scale < 9e15). Without
+    ``scale`` the sum is raw float64 prefix differences (last-ulp
+    sensitive vs direct-summation oracles)."""
     import datetime
 
-    from ray.data.aggregate import Max
-
-    from .rank import _running_sums
-    from .relational import null_safe_grouped_aggregate, pre_aggregate
+    from .relational import null_safe_sort
 
     win_us = int(window.total_seconds() * 1_000_000) \
         if isinstance(window, datetime.timedelta) else int(window)
@@ -102,97 +155,199 @@ def range_windowed_sum(ds, key: str, ts: str, value: str, window,
             # quantize per element BEFORE any summation: prefix sums
             # become exact integer-valued floats (<= 2^53 envelope)
             v = pc.floor(pc.add(pc.multiply(v, float(scale)), 0.5))
-        return pa.table({
-            key: batch[key], ts: batch[ts], "__v": v,
-            "__nv": pc.cast(pc.is_valid(v), pa.int64())})
+        return pa.table({key: batch[key], ts: batch[ts], "__v": v})
 
-    pre = pre_aggregate(
+    sorted_ds = null_safe_sort(
         ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        [key, ts], [("__v", "sum"), ("__nv", "sum")])
+                       zero_copy_batch=True), [key], [ts])
+    return _range_frames(sorted_ds, key, ts, "__v", win_us, out,
+                         cnt_out, as_int=scale is not None)
 
-    def expand(batch: pa.Table) -> pa.Table:
-        tt = batch[ts].type
+
+def _range_frames(sorted_ds, key: str, ts: str, value: str,
+                  win_us: int, out: str, cnt_out: str,
+                  as_int: bool = False):
+    """The scan, carry and resolve of :func:`range_windowed_sum`
+    over a dataset already sorted by ``(key, ts)`` with NULLS LAST,
+    whose blocks are contiguous slices of that order (any slicing:
+    a ``(key, ts)`` run may span blocks, blocks may be empty).
+    ``as_int`` casts the sums to int64."""
+    import uuid
+
+    import ray
+
+    from .rank import _group_key_expr
+
+    # __rt: 0 = final run, 1 = pending run, 2 = pending run at a block
+    # edge (its peers may sit in other blocks), 3 = carried run,
+    # 4 = carried run at a block edge
+    def with_aux(tab: pa.Table, fs, fc, rt, blk: int) -> pa.Table:
+        return tab.select([key, ts]) \
+            .append_column("__s", pa.array(fs, pa.float64())) \
+            .append_column("__c", pa.array(fc, pa.int64())) \
+            .append_column("__rt", pa.array(rt, pa.int8())) \
+            .append_column("__blk", pa.array(np.full(len(rt), blk),
+                                             pa.int64()))
+
+    def scan(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        v = pc.fill_null(batch["__v_sum"], 0.0)
-        nv = pc.fill_null(pc.cast(batch["__nv_sum"], pa.int64()), 0)
-        # the int64 view of a temporal column is in the column's OWN
-        # unit — convert the microsecond window into ticks (and probe
-        # 1 tick before the frame) or a non-"us" column silently gets
-        # a 1000x-wrong window
-        us_per_tick = {"s": 1_000_000, "ms": 1_000, "us": 1,
-                       "ns": None}.get(getattr(tt, "unit", "us"), 1)
-        if us_per_tick is None:  # ns: ticks are finer than us
-            win_ticks = win_us * 1_000
-        else:
-            if win_us % us_per_tick:
-                raise ValueError(
-                    f"window ({win_us}us) is not a whole number of"
-                    f" {tt} ticks")
-            win_ticks = win_us // us_per_tick
-        probe_t = pc.cast(
-            pc.subtract(pc.cast(batch[ts], pa.int64()),
-                        pa.scalar(win_ticks + 1, pa.int64())), tt)
-        zf = pa.array(np.zeros(n, np.float64))
-        zi = pa.array(np.zeros(n, np.int64))
-        contrib = pa.table({
-            key: batch[key], "__time": batch[ts],
-            "__kind": pa.array(np.zeros(n, np.int8)),
-            "__ots": batch[ts], "__v": v, "__nv": nv})
-        wprobe = pa.table({
-            key: batch[key], "__time": probe_t,
-            "__kind": pa.array(np.ones(n, np.int8)),
-            "__ots": batch[ts], "__v": zf, "__nv": zi})
-        rprobe = pa.table({
-            key: batch[key], "__time": batch[ts],
-            "__kind": pa.array(np.full(n, 2, np.int8)),
-            "__ots": batch[ts], "__v": zf, "__nv": zi})
-        return pa.concat_tables([contrib, wprobe, rprobe])
+        if n == 0:
+            # a sorted block can be empty, even of columns
+            if key not in batch.column_names:
+                return batch
+            return with_aux(batch, [], [], [], 0)
+        win_ticks = _window_ticks(batch[ts].type, win_us)
+        tick, tnull = _ticks_np(batch[ts])
+        varr = pc.cast(batch[value], pa.float64()).combine_chunks()
+        valid = pc.is_valid(varr).to_numpy(zero_copy_only=False)
+        v = pc.fill_null(varr, 0.0).to_numpy(zero_copy_only=False)
+        # runs of equal (key, ts), NULL ts equal to NULL ts
+        same_k = _same_adjacent_keys(batch[key])
+        same_t = (tick[1:] == tick[:-1]) & (tnull[1:] == tnull[:-1])
+        rstart = np.concatenate(
+            [[0], np.nonzero(~(same_k & same_t))[0] + 1])
+        nr = len(rstart)
+        s = np.add.reduceat(v, rstart)
+        c = np.add.reduceat(valid.astype(np.int64), rstart)
+        seg = np.cumsum(np.concatenate(
+            [[True], ~same_k[rstart[1:] - 1]])) - 1
+        rtick, rnull = tick[rstart], tnull[rstart]
+        # frame start: the first run of the same key segment after
+        # ts - window - 1. NULL ts sort last in their segment (as the
+        # INT64_MAX sentinel here) and frame only their peers.
+        pos = np.empty(nr, [("g", np.int64), ("t", np.int64)])
+        pos["g"] = seg
+        pos["t"] = np.where(rnull, np.iinfo(np.int64).max, rtick)
+        probe = np.empty(nr, pos.dtype)
+        probe["g"] = seg
+        probe["t"] = _probe_ticks(rtick, win_ticks)
+        idx = np.arange(nr)
+        start = np.where(rnull, idx,
+                         np.searchsorted(pos, probe, side="right"))
+        P = np.concatenate([[0.0], np.cumsum(s)])
+        C = np.concatenate([[0], np.cumsum(c)])
+        fs = P[idx + 1] - P[start]
+        fc = C[idx + 1] - C[start]
+        # pending: first-segment runs whose frame reaches the block
+        # start, and the edge runs
+        rt = np.where((seg == 0) & (start == 0), 1, 0).astype(np.int8)
+        rt[0] = rt[-1] = 2
+        # carried: run 0 plus the last run's frame, [tail, nr). The
+        # resolve adds the carried sum of every block, this one
+        # included, so take this block's carried runs inside [start,
+        # i] back out: [max(start, tail), i], plus run 0 if start is 0
+        tail = int(start[-1])
+        lo = np.minimum(np.maximum(start, tail), idx + 1)
+        own_s = P[idx + 1] - P[lo]
+        own_c = C[idx + 1] - C[lo]
+        first = (start == 0) & (tail > 0)
+        own_s += np.where(first, s[0], 0.0)
+        own_c += np.where(first, c[0], 0)
+        pend = rt > 0
+        fs[pend] -= own_s[pend]
+        fc[pend] -= own_c[pend]
+        # map_batches cannot see block order; the id only has to tell
+        # blocks apart (random, non-negative int64)
+        blk = uuid.uuid4().int >> 65
+        runs = batch.take(pa.array(rstart))
+        cidx = np.union1d([0], np.arange(tail, nr))
+        crt = np.where((cidx == 0) | (cidx == nr - 1), 4, 3)
+        return pa.concat_tables([
+            with_aux(runs, fs, fc, rt, blk),
+            with_aux(runs.take(pa.array(cidx)), s[cidx], c[cidx], crt,
+                     blk)])
 
-    both = pre.map_batches(expand, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    run = _running_sums(both, key, "__time",
-                        [("__v", "__R"), ("__nv", "__RC")], "__kind")
+    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
+                                    zero_copy_batch=True).materialize()
 
-    def split_kinds(batch: pa.Table) -> pa.Table:
-        probes = batch.filter(pc.greater(batch["__kind"], 0))
-        is_r = pc.equal(probes["__kind"], 2)
-        null_f = pa.scalar(None, pa.float64())
-        null_i = pa.scalar(None, pa.int64())
-        return pa.table({
-            key: probes[key], ts: probes["__ots"],
-            "__Rr": pc.if_else(is_r, probes["__R"], null_f),
-            "__RCr": pc.if_else(is_r, probes["__RC"], null_i),
-            "__Rp": pc.if_else(is_r, null_f, probes["__R"]),
-            "__RCp": pc.if_else(is_r, null_i, probes["__RC"])})
+    # carried runs only: the filter runs distributed, so full blocks
+    # never reach the driver
+    def carry_only(batch: pa.Table) -> pa.Table:
+        if "__rt" not in batch.column_names:
+            return batch
+        return batch.filter(pc.greater_equal(batch["__rt"], 3))
 
-    grouped = null_safe_grouped_aggregate(
-        run.map_batches(split_kinds, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        [key, ts],
-        [Max("__Rr", alias_name="__Rr", ignore_nulls=True),
-         Max("__RCr", alias_name="__RCr", ignore_nulls=True),
-         Max("__Rp", alias_name="__Rp", ignore_nulls=True),
-         Max("__RCp", alias_name="__RCp", ignore_nulls=True)],
-        ["__Rr", "__RCr", "__Rp", "__RCp"])
+    parts = [b for b in scanned.map_batches(
+        carry_only, batch_format="pyarrow", zero_copy_batch=True)
+        .iter_batches(batch_format="pyarrow") if b.num_rows]
+    carried: dict = {}
+    holder: dict = {}
+    if parts:
+        ct = pa.concat_tables(parts)
+        kk = _group_key_expr(ct, [key]).to_numpy(zero_copy_only=False)
+        _, kcode = np.unique(kk, return_inverse=True)
+        tick, tnull = _ticks_np(ct[ts])
+        order = np.lexsort((tick, tnull, kcode))
+        kk, kcode, tick, tnull = (a[order] for a in
+                                  (kk, kcode, tick, tnull))
+        s = ct["__s"].to_numpy()[order]
+        c = ct["__c"].to_numpy()[order]
+        bounds = np.nonzero(np.concatenate(
+            [[True], kcode[1:] != kcode[:-1], [True]]))[0]
+        # per key: non-null ts ascending with prefix sum and count,
+        # then the NULL-ts total
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            nn = a + int(np.count_nonzero(~tnull[a:b]))
+            carried[kk[a]] = (
+                tick[a:nn],
+                np.concatenate([[0.0], np.cumsum(s[a:nn])]),
+                np.concatenate([[0], np.cumsum(c[a:nn])]),
+                float(s[nn:b].sum()), int(c[nn:b].sum()))
+        # a (key, ts) run at the edge of several blocks was split
+        # across them: the lowest block id emits it
+        edge = ct["__rt"].to_numpy()[order] == 4
+        seen: dict = {}
+        for kv, t, tn, bk in zip(
+                kk[edge], tick[edge].tolist(), tnull[edge],
+                ct["__blk"].to_numpy()[order][edge].tolist()):
+            seen.setdefault((kv, None if tn else t), []).append(bk)
+        holder = {pk: min(bs) for pk, bs in seen.items()
+                  if len(bs) > 1}
 
-    def finish(batch: pa.Table) -> pa.Table:
-        r = pc.fill_null(batch["__Rr"], 0.0)
-        rc = pc.fill_null(batch["__RCr"], 0)
-        pr = pc.fill_null(batch["__Rp"], 0.0)
-        prc = pc.fill_null(batch["__RCp"], 0)
-        wc = pc.cast(pc.subtract(rc, prc), pa.int64())
-        win = pc.if_else(pc.equal(wc, 0),
-                         pa.scalar(None, pa.float64()),
-                         pc.subtract(r, pr))
-        if scale is not None:
+    handle = ray.put((carried, holder))
+
+    def resolve(batch: pa.Table) -> pa.Table:
+        if "__rt" not in batch.column_names:
+            return batch
+        batch = batch.filter(pc.less(batch["__rt"], 3))
+        rt = batch["__rt"].to_numpy()
+        fs = batch["__s"].to_numpy().copy()
+        fc = batch["__c"].to_numpy().copy()
+        keep = np.ones(batch.num_rows, bool)
+        pend = np.nonzero(rt > 0)[0]
+        if len(pend):
+            carry, split = ray.get(handle)
+            win_ticks = _window_ticks(batch[ts].type, win_us)
+            pb = batch.take(pa.array(pend))
+            kk = _group_key_expr(pb, [key]) \
+                .to_numpy(zero_copy_only=False)
+            tick, tnull = _ticks_np(pb[ts])
+            # a pending run is in its block's first key segment or is
+            # its last run, and both of those keys are carried
+            for kv in np.unique(kk):
+                cts, cs, cc, ns, nc = carry[kv]
+                m = kk == kv
+                t, tn = tick[m], tnull[m]
+                hi = np.searchsorted(cts, t, side="right")
+                lo = np.searchsorted(
+                    cts, _probe_ticks(t, win_ticks), side="right")
+                fs[pend[m]] += np.where(tn, ns, cs[hi] - cs[lo])
+                fc[pend[m]] += np.where(tn, nc, cc[hi] - cc[lo])
+            blk = batch["__blk"].to_numpy()
+            for j in np.nonzero(rt[pend] == 2)[0]:
+                i = pend[j]
+                pk = (kk[j], None if tnull[j] else int(tick[j]))
+                keep[i] = split.get(pk, blk[i]) == blk[i]
+        win = pa.array(fs, pa.float64(), mask=(fc == 0))
+        if as_int:
             # exact integer-valued floats -> int64 (round is a no-op
             # numerically; it guards the cast against -0.0 etc.)
             win = pc.cast(pc.round(win), pa.int64())
-        return pa.table({key: batch[key], ts: batch[ts],
-                         out: win, cnt_out: wc})
+        res = pa.table({key: batch[key], ts: batch[ts],
+                        out: win, cnt_out: pa.array(fc, pa.int64())})
+        return res if keep.all() else res.filter(pa.array(keep))
 
-    return grouped.map_batches(finish, batch_format="pyarrow",
+    return scanned.map_batches(resolve, batch_format="pyarrow",
                                zero_copy_batch=True)
 
 

@@ -4405,9 +4405,9 @@ def test_lm_quality_buckets_ansi_distribution():
 
 
 def test_range_windowed_sum_negative_values():
-    """Sign-robustness: the probe-row design must not assume a
-    monotone prefix sum (negative contributions), including exact
-    (key, ts) peer duplicates split across blocks."""
+    """Sign-robustness: the prefix-sum scan must not assume a
+    monotone prefix sum (negative contributions), including many
+    exact (key, ts) peer duplicates."""
     import datetime
 
     import duckdb
@@ -4443,6 +4443,282 @@ def test_range_windowed_sum_negative_values():
             RANGE BETWEEN INTERVAL 5 MINUTE PRECEDING AND CURRENT ROW)
     """).fetchall())
     assert got == want
+
+
+def _nulls_first_key(row):
+    return tuple((x is not None, 0 if x is None else x) for x in row)
+
+
+def _range_oracle(t, win_ticks, key="k"):
+    """DuckDB's RANGE frame over the int64 tick column ``tk``: one
+    ``(key, tk, sum, count)`` row per distinct ``(key, tk)``."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", t)
+    return sorted((tuple(r) for r in con.execute(f"""
+        SELECT DISTINCT {key}, tk, sum(v) OVER w,
+               CAST(count(v) OVER w AS BIGINT)
+        FROM t WINDOW w AS (PARTITION BY {key} ORDER BY tk
+            RANGE BETWEEN {win_ticks} PRECEDING AND CURRENT ROW)
+    """).fetchall()), key=_nulls_first_key)
+
+
+def _range_rows(out, key="k"):
+    """``(key, ts ticks, range_sum, range_cnt)`` rows of a
+    range_windowed_sum result, ticks read exactly from Arrow."""
+    import pyarrow.compute as pc
+
+    rows = []
+    for b in out.iter_batches(batch_format="pyarrow"):
+        if b.num_rows:
+            rows += zip(b[key].to_pylist(),
+                        pc.cast(b["ts"], pa.int64()).to_pylist(),
+                        b["range_sum"].to_pylist(),
+                        b["range_cnt"].to_pylist())
+    return sorted(rows, key=_nulls_first_key)
+
+
+def _range_table(k, tk, v, unit="us"):
+    return pa.table({
+        "k": pa.array(k, pa.int64()),
+        "ts": pa.array(tk, pa.int64()).cast(pa.timestamp(unit)),
+        "tk": pa.array(tk, pa.int64()),
+        "v": pa.array(v, pa.float64())})
+
+
+def _range_frames_over_blocks(t, cuts, win_us):
+    """The range scan over ``t`` sorted (NULLS LAST) and cut into
+    blocks at ``cuts`` — a duplicated cut makes an empty block — so
+    runs split across blocks deterministically, which a range
+    partitioned sort never does (equal sort keys share a partition)."""
+    from json_schema_ray.engine.window import _range_frames
+
+    st = t.sort_by([("k", "ascending"), ("ts", "ascending")],
+                   null_placement="at_end")
+    edges = [0] + list(cuts) + [st.num_rows]
+    blocks = [st.slice(a, b - a) for a, b in zip(edges, edges[1:])]
+    return _range_frames(_ray().data.from_arrow(blocks), "k", "ts",
+                         "v", win_us, "range_sum", "range_cnt")
+
+
+def test_range_windowed_sum_null_ts_frames_its_peers():
+    """A NULL ts orders last within its key and its RANGE frame is
+    its NULL peers, as in DuckDB: values 1.0 and 2.0 at NULL ts give
+    (3.0, 2), not a NULL sum over an empty frame. Checked on a fixed
+    case and on a random multi-block one."""
+    import datetime
+
+    from json_schema_ray.engine.window import range_windowed_sum
+
+    base = 1_700_000_000_000_000
+    t = _range_table([7, 7, 7, 7, 8], [base, None, base + 60_000_000,
+                                       None, None],
+                     [4.0, 1.0, 0.5, 2.0, None])
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(3), "k", "ts", "v",
+        datetime.timedelta(minutes=5))
+    assert _range_rows(out) == [
+        (7, None, 3.0, 2), (7, base, 4.0, 1),
+        (7, base + 60_000_000, 4.5, 2), (8, None, None, 0)]
+
+    rng = np.random.default_rng(91)
+    n = 500
+    tk = (base + rng.integers(0, 30, n) * 60_000_000).astype(object)
+    tk[rng.random(n) < 0.2] = None
+    t = _range_table(rng.integers(0, 5, n).tolist(), tk.tolist(),
+                     rng.integers(-20, 80, n).astype(float).tolist())
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(7), "k", "ts", "v",
+        datetime.timedelta(minutes=5))
+    assert _range_rows(out) == _range_oracle(t, 300_000_000)
+
+
+def test_range_windowed_sum_hot_key_window_spans_blocks():
+    """One key holds most rows and its 10-minute window covers its
+    whole 5-minute history, so every frame reaches back over many
+    blocks: through the public path, and through the scan over
+    explicit blocks of 37 rows (the hot key spans 8 of them)."""
+    import datetime
+
+    from json_schema_ray.engine.window import range_windowed_sum
+
+    rng = np.random.default_rng(92)
+    n = 360
+    base = 1_700_000_000_000_000
+    k = np.where(rng.random(n) < 0.85, 3, rng.integers(0, 6, n))
+    tk = base + rng.integers(0, 300, n) * 1_000_000
+    t = _range_table(k.tolist(), tk.tolist(),
+                     rng.integers(-9, 30, n).astype(float).tolist())
+    want = _range_oracle(t, 600_000_000)
+    assert sum(1 for r in want if r[0] == 3) > 150
+    cuts = list(range(37, n, 37))
+    got = _range_rows(_range_frames_over_blocks(t, cuts, 600_000_000))
+    assert got == want
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(9), "k", "ts", "v",
+        datetime.timedelta(minutes=10))
+    assert _range_rows(out) == want
+
+
+def test_range_windowed_sum_peer_group_split_over_blocks():
+    """A (key, ts) peer group, and a NULL-ts peer group, each split
+    over at least 3 blocks (one block holds nothing else, one block
+    is empty) is output once with all of its peers counted."""
+    base = 1_700_000_000_000_000
+    k, tk, v = [], [], []
+    for i in range(8):                  # key 1: a lead-in
+        k.append(1), tk.append(base + i * 1_000_000), v.append(1.0)
+    for i in range(30):                 # key 1: 30 peers
+        k.append(1), tk.append(base + 9_000_000), v.append(float(i))
+    for i in range(6):                  # key 1: after the peers
+        k.append(1), tk.append(base + 10_000_000 + i), v.append(-2.0)
+    for i in range(25):                 # key 1: NULL-ts peers
+        k.append(1), tk.append(None), v.append(None if i % 5 else 3.0)
+    for i in range(5):                  # key 2 follows
+        k.append(2), tk.append(base + i), v.append(1.0)
+    t = _range_table(k, tk, v)
+    # peers at rows 8..37, NULL ts at rows 44..68
+    cuts = [5, 12, 20, 20, 30, 40, 50, 60, 66, 70]
+    for win in (0, 3_000_000, 60_000_000):
+        got = _range_rows(_range_frames_over_blocks(t, cuts, win))
+        assert got == _range_oracle(t, win)
+        assert len(got) == len({(r[0], r[1]) for r in got})
+
+
+def test_range_windowed_sum_null_keys_over_blocks():
+    """NULL keys form one partition (SQL PARTITION BY), across
+    blocks."""
+    import datetime
+
+    from json_schema_ray.engine.window import range_windowed_sum
+
+    rng = np.random.default_rng(93)
+    n = 400
+    base = 1_700_000_000_000_000
+    k = rng.integers(0, 3, n).astype(object)
+    k[rng.random(n) < 0.4] = None
+    tk = base + rng.integers(0, 40, n) * 30_000_000
+    t = _range_table(k.tolist(), tk.tolist(),
+                     rng.integers(0, 50, n).astype(float).tolist())
+    want = _range_oracle(t, 120_000_000)
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(8), "k", "ts", "v",
+        datetime.timedelta(minutes=2))
+    assert _range_rows(out) == want
+    cuts = list(range(45, n, 45))
+    assert _range_rows(
+        _range_frames_over_blocks(t, cuts, 120_000_000)) == want
+
+
+def test_range_windowed_sum_more_blocks_than_rows():
+    """More blocks than rows: the sort leaves empty blocks (some
+    with no columns at all), which the scan and the resolve pass
+    through."""
+    import datetime
+
+    from json_schema_ray.engine.window import range_windowed_sum
+
+    base = 1_700_000_000_000_000
+    t = _range_table([1, 1, 2, 1, 2, 1, None, 1, 2, 1, 1, 2],
+                     [None if i is None else base + i * 20_000_000
+                      for i in (0, 1, 1, 2, 5, 6, 6, 6, 9, 14, None,
+                                None)],
+                     [1.0, 2.0, 3.0, None, 5.0, 6.0, 7.0, 8.0, 9.0,
+                      10.0, 11.0, 12.0])
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(40), "k", "ts", "v",
+        datetime.timedelta(minutes=1))
+    assert _range_rows(out) == _range_oracle(t, 60_000_000)
+
+
+@pytest.mark.parametrize("unit,per_s", [("s", 1), ("ms", 1_000),
+                                        ("ns", 1_000_000_000)])
+def test_range_windowed_sum_time_units(unit, per_s):
+    """The frame is computed in the column's own int64 ticks: second,
+    millisecond and nanosecond columns get the same 2-second window,
+    and nanosecond epochs (above 2^53) stay exact to the tick at the
+    frame edge."""
+    import datetime
+
+    from json_schema_ray.engine.window import range_windowed_sum
+
+    rng = np.random.default_rng(94)
+    n = 300
+    win = 2 * per_s
+    base = 1_700_000_000 * per_s
+    tk = base + rng.integers(0, 20, n) * per_s
+    if unit == "ns":
+        # rows exactly at the frame edge and one tick past it
+        tk = tk + rng.choice([0, 1, 2], n)
+    t = _range_table(rng.integers(0, 4, n).tolist(), tk.tolist(),
+                     rng.integers(0, 99, n).astype(float).tolist(),
+                     unit=unit)
+    out = range_windowed_sum(
+        _ray().data.from_arrow(t).repartition(6), "k", "ts", "v",
+        datetime.timedelta(seconds=2))
+    assert _range_rows(out) == _range_oracle(t, win)
+
+
+def _ns_order_table(seed):
+    """timestamp[ns] order column at a 2023 epoch, with ties broken
+    by an int64 tiebreak above 2^53 whose neighbours share a float64
+    value."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    base = 1_700_000_000_000_000_000
+    tsv = base + rng.integers(0, 40, n) * 1_000 + rng.integers(0, 3, n)
+    return pa.table({
+        "k": pa.array(rng.integers(0, 3, n), pa.int64()),
+        "ts": pa.array(tsv, pa.int64()).cast(pa.timestamp("ns")),
+        "tb": pa.array((1 << 60) + rng.permutation(n), pa.int64()),
+        "v": pa.array(rng.integers(-50, 50, n).astype(float)),
+    })
+
+
+def _by_tiebreak(ds, col):
+    got = {}
+    for b in ds.iter_batches(batch_format="pyarrow"):
+        got.update(zip(b["tb"].to_pylist(), b[col].to_pylist()))
+    return got
+
+
+def _duckdb_by_tiebreak(t, expr):
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", t)
+    return dict(con.execute(f"""
+        SELECT tb, {expr} OVER (PARTITION BY k ORDER BY ts, tb)
+        FROM t""").fetchall())
+
+
+@pytest.mark.parametrize("fn,expr", [
+    ("lag_column", "lag(v)"), ("lead_column", "lead(v)")])
+def test_shift_column_ns_order_above_2_53(fn, expr):
+    """lag/lead carries compare exact int64 positions: a
+    timestamp[ns] order column and an int64 tiebreak above 2^53 no
+    longer go through float64 (which raised ArrowInvalid, and would
+    merge neighbouring tiebreaks)."""
+    import json_schema_ray.engine.rank as rank
+
+    t = _ns_order_table(95)
+    out = getattr(rank, fn)(_ray().data.from_arrow(t).repartition(6),
+                            "k", "ts", "v", "tb", out="o")
+    assert _by_tiebreak(out, "o") == _duckdb_by_tiebreak(t, expr)
+
+
+def test_cumulative_sum_ns_order_above_2_53():
+    """cumulative_sum's carries compare exact int64 positions over a
+    timestamp[ns] order column and an int64 tiebreak above 2^53."""
+    from json_schema_ray.engine.rank import cumulative_sum
+
+    t = _ns_order_table(96)
+    out = cumulative_sum(_ray().data.from_arrow(t).repartition(6),
+                         "k", "ts", "v", "tb")
+    # (ts, tb) is unique, so the default frame is the running total
+    want = _duckdb_by_tiebreak(t, "sum(v)")
+    assert _by_tiebreak(out, "running_sum") == want
 
 
 def test_lm_quality_buckets_approx_close_to_exact():

@@ -616,11 +616,14 @@ def test_sort_merge_join_property(sch, how):
 
 
 @settings(max_examples=_n(8), deadline=None)
-@given(sch=schedule, win_s=st.integers(1, 60))
-def test_range_windowed_sum_property(sch, win_s):
+@given(sch=schedule, win_s=st.integers(1, 60),
+       unit=st.sampled_from(["s", "ms", "us", "ns"]))
+def test_range_windowed_sum_property(sch, win_s, unit):
     """range_windowed_sum vs DuckDB's RANGE frame under drawn
     schedules: duplicate (key, ts) peers share one output row, NULL
-    values don't contribute, empty windows are NULL."""
+    values don't contribute, empty windows are NULL, NULL keys form
+    one partition, a NULL ts frames its NULL peers, and the frame is
+    exact in the column's own unit."""
     import datetime
 
     import duckdb
@@ -629,34 +632,38 @@ def test_range_windowed_sum_property(sch, win_s):
 
     rng = np.random.default_rng(sch["seed"])
     n = sch["n"]
-    keys = _keys(rng, n, sch["n_keys"], sch["hot"], 0.0)
+    per_s = {"s": 1, "ms": 10 ** 3, "us": 10 ** 6, "ns": 10 ** 9}[unit]
+    keys = _keys(rng, n, sch["n_keys"], sch["hot"], sch["null_rate"])
     # coarse second grid -> guaranteed RANGE peers and window hits
-    ts = (rng.integers(0, 120, n) * 1_000_000).astype(object)
+    tk = (rng.integers(0, 120, n) * per_s).astype(object)
+    tk[rng.random(n) < sch["null_rate"]] = None
     vals = (rng.integers(0, 500, n) / 10.0).astype(object)
     vals[rng.random(n) < sch["null_rate"]] = None
     t = pa.table({
         "u": pa.array(keys.tolist(), pa.int64()),
-        "ts": pa.array(ts.tolist(), pa.timestamp("us")),
+        "tk": pa.array(tk.tolist(), pa.int64()),
         "v": pa.array(vals.tolist(), pa.float64())})
+    t = t.append_column("ts", t["tk"].cast(pa.timestamp(unit)))
     want = {(r[0], r[1]): (r[2], r[3]) for r in duckdb.sql(f"""
-        SELECT DISTINCT u, CAST(epoch_us(ts) AS BIGINT),
+        SELECT DISTINCT u, tk,
                CAST(sum(CAST(floor(v * 10 + 0.5) AS BIGINT))
                    OVER w AS BIGINT),
                CAST(count(v) OVER w AS BIGINT)
-        FROM t WHERE u IS NOT NULL
-        WINDOW w AS (PARTITION BY u ORDER BY ts
-                     RANGE BETWEEN INTERVAL {win_s} SECOND PRECEDING
+        FROM t
+        WINDOW w AS (PARTITION BY u ORDER BY tk
+                     RANGE BETWEEN {win_s * per_s} PRECEDING
                      AND CURRENT ROW)""").fetchall()}
     out = range_windowed_sum(
-        _ray().data.from_arrow(
-            t.filter(pa.compute.is_valid(t["u"]))).repartition(
-                sch["blocks"]),
+        _ray().data.from_arrow(t).repartition(sch["blocks"]),
         "u", "ts", "v", datetime.timedelta(seconds=win_s),
         out="s", scale=10)
     got = {}
-    for r in out.take_all():
-        tsv = r["ts"]
-        us = int(tsv.timestamp() * 1_000_000) \
-            if hasattr(tsv, "timestamp") else int(tsv)
-        got[(r["u"], us)] = (r["s"], r["range_cnt"])
+    for b in out.iter_batches(batch_format="pyarrow"):
+        if b.num_rows:
+            for u, t_, sv, c in zip(
+                    b["u"].to_pylist(),
+                    pa.compute.cast(b["ts"], pa.int64()).to_pylist(),
+                    b["s"].to_pylist(), b["range_cnt"].to_pylist()):
+                assert (u, t_) not in got
+                got[(u, t_)] = (sv, c)
     assert got == want
