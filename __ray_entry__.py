@@ -2447,7 +2447,7 @@ def q_user_value_running_max(sf_dir: str):
     watermark primitive with a per-key kernel): one null-safe
     range-partitioned sort, a Hillis-Steele segmented prefix-max
     scan per block (log2(n) whole-array numpy passes, no per-segment
-    Python), two fixed-size carry rows per block, driver prefix-max
+    Python), one fixed-size carry row per block, driver prefix-max
     offsets broadcast back. The running max SELECTS an input float —
     no arithmetic — so float parity with the SQL window twin is
     exact, row for row."""
@@ -2757,7 +2757,7 @@ def q_docs_quality_budget(sf_dir: str):
     character budget (50k chars) is exhausted — the 'best data
     under a token budget' curation selector. Composition: the
     quality scan + ONE constant-key cumulative_sum (the hot-key
-    machinery is built for a single global key: two carry rows per
+    machinery is built for a single global key: one carry row per
     block, never the corpus) + a stateless threshold filter. The
     running sum is integer-valued, so the SQL window twin is
     hash-exact."""
@@ -4906,7 +4906,7 @@ def q_events_value_locf(sf_dir: str):
     positions (event_id % 7 == 0, the corpus carries no nulls) fill
     from the user's most recent earlier value via engine/rank.py
     grouped_forward_fill: one null-safe sort, a single global
-    max-accumulate per block, <= 2 carry rows per block. Leading
+    max-accumulate per block, <= 1 carry row per block. Leading
     gaps (no earlier value) stay NULL, exactly SQL's last_value
     IGNORE NULLS. Values e2-quantized before nulling so parity is
     integer-exact."""

@@ -1,5 +1,6 @@
 """Rank / running-window operators: grouped top-k, per-key running
-totals, exact per-group quantiles, deterministic per-group mode.
+totals and ROWS-frame windows, lag/lead, forward fill, exact
+per-group quantiles, deterministic per-group mode.
 
 Scale shape, same discipline as ``window.py`` / the sorted as-of join
 in ``relational.py``: top-k partials are MERGEABLE (top-k of a union
@@ -9,10 +10,17 @@ range-partitioned sort then co-locates groups, and only the <= 2 key
 segments that can straddle a block boundary surface as fixed-size
 edge/carry rows — driver memory is O(k * n_blocks), independent of
 any single group's row count, and no per-group Python
-(``map_groups``) runs anywhere. ``cumulative_sum`` and
-``grouped_exact_quantiles`` share the boundary-carry machinery
-(:func:`_boundaries_before`): pending first-segment rows resolve
-DISTRIBUTED against a broadcast O(n_blocks) prefix table;
+(``map_groups``) runs anywhere.
+
+The ordered-window operators (running sums and maxima, moving-window
+sum/median/extrema/distinct count, lag/lead, forward fill, trailing
+concatenation) all run on ONE sort-scan-carry primitive,
+:func:`_sorted_carry`, described there once: one range-partitioned
+sort, a vectorized scan per sorted block, O(n_blocks) carry rows
+folded on the driver and broadcast once, and a distributed resolve of
+the few rows that need another block's state. Positions cross blocks
+in one exact encoding, :func:`_order_np`. The quantile pair keeps its
+own rank carry over the same :func:`_boundaries_before` lookup;
 ``grouped_mode`` is a pure composition of a combiner counts groupby
 and ``grouped_top_k(k=1)`` over the reduced counts.
 """
@@ -65,71 +73,76 @@ def _group_key_expr(batch: pa.Table, keys: List[str]) -> pa.Array:
 from .relational import _is_string_type as _is_str  # noqa: E402
 
 
-def _order_np(batch: pa.Table, col: str, descending: bool) -> np.ndarray:
-    """Order column as an ascending-sortable float64 vector:
-    descending negates, NULLs map to +inf so they rank LAST either
-    way (DuckDB's NULLS LAST default for both ASC and DESC). STRING
-    columns factorize to their lexicographic rank WITHIN the batch
-    (``np.unique`` codes are order-isomorphic to the strings), which
-    is exactly what in-batch comparisons need."""
-    if _is_str(batch[col].type):
-        c = batch[col].combine_chunks()
-        mask = pc.is_null(c).to_numpy(zero_copy_only=False)
-        vals = pc.fill_null(c, "").to_numpy(zero_copy_only=False)
-        _, codes = np.unique(vals.astype(str), return_inverse=True)
-        v = codes.astype(np.float64)
-        if descending:
-            v = -v
-        v[mask] = np.inf
-        return v
-    src = batch[col]
-    if pa.types.is_temporal(src.type):
-        src = pc.cast(src, pa.int64())
-    arr = pc.cast(src, pa.float64())
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    null_mask = pc.is_null(arr).to_numpy(zero_copy_only=False)
-    v = pc.fill_null(arr, 0.0).to_numpy(zero_copy_only=False).copy()
-    if descending:
-        v = -v
-    v[null_mask] = np.inf
-    return v
+def _np(col) -> np.ndarray:
+    """One Arrow column (chunked or not) as a numpy vector."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.to_numpy(zero_copy_only=False)
 
 
 _I64_MAX = (1 << 63) - 1
 
 
-def _anchor_pa_type(t: pa.DataType) -> pa.DataType:
-    """Arrow type of the carry-anchor column for an order column of
-    type ``t`` — int64 for integer/temporal (exact), float64
-    otherwise. Keeps empty blocks schema-identical to full ones."""
-    if pa.types.is_temporal(t) or pa.types.is_integer(t):
-        return pa.int64()
-    return pa.float64()
+def _int64_order(t: pa.DataType) -> bool:
+    return pa.types.is_integer(t) or pa.types.is_temporal(t) \
+        or _is_str(t)
 
 
-def _anchor_np(batch: pa.Table, col: str) -> np.ndarray:
-    """Order column as an EXACT ascending-sortable carry anchor.
-    Integer/temporal columns stay int64 (nulls -> INT64_MAX so they
-    rank last, matching the null-safe sort) rather than riding the
-    float64 :func:`_order_np` encoding, whose 2^53 mantissa collapses
-    distinct nanosecond-epoch timestamps / large int64 keys to the
-    same float and would let carry stitching miscount boundaries.
-    Raises if a real value collides with the INT64_MAX sentinel.
-    Float columns keep the float64 path (already exact for them)."""
+def _order_np(batch: pa.Table, col: str,
+              descending: bool = False) -> np.ndarray:
+    """Order column as an EXACT ascending-sortable vector — the one
+    position encoding of this module, for in-batch ranking and carry
+    anchors alike. NULLs rank LAST either way (DuckDB's NULLS LAST
+    default for ASC and DESC, and :func:`.relational.null_safe_sort`'s
+    order).
+
+    - Integer and temporal columns stay int64 (a float64 mantissa
+      would merge nanosecond epochs and ids above 2**53); descending
+      is bitwise NOT, which never overflows; NULLs sit at INT64_MAX,
+      and a real value landing on that sentinel raises.
+    - Other numeric columns are float64, descending negated, NULLs at
+      +inf.
+    - STRING columns factorize to their lexicographic rank WITHIN the
+      batch (``np.unique`` codes are order-isomorphic to the strings):
+      exact for in-batch comparisons, never comparable across blocks.
+    """
     src = batch[col]
+    if isinstance(src, pa.ChunkedArray):
+        src = src.combine_chunks()
     t = src.type
-    if pa.types.is_temporal(t) or pa.types.is_integer(t):
-        arr = pc.cast(src, pa.int64())
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        if len(arr) and pc.max(arr).as_py() == _I64_MAX:
-            raise ValueError(
-                f"order column {col!r} contains INT64_MAX, which is"
-                " reserved as the nulls-last carry sentinel")
-        return pc.fill_null(arr, _I64_MAX).to_numpy(
-            zero_copy_only=False).astype(np.int64, copy=False)
-    return _order_np(batch, col, descending=False)
+    null = pc.is_null(src).to_numpy(zero_copy_only=False)
+    if not _int64_order(t):
+        v = pc.fill_null(pc.cast(src, pa.float64()), 0.0) \
+            .to_numpy(zero_copy_only=False).copy()
+        if descending:
+            v = -v
+        v[null] = np.inf
+        return v
+    if _is_str(t):
+        vals = pc.fill_null(src, "").to_numpy(zero_copy_only=False)
+        v = np.unique(vals.astype(str), return_inverse=True)[1] \
+            .astype(np.int64)
+    else:
+        if pa.types.is_temporal(t) and t.bit_width == 32:
+            src = pc.cast(src, pa.int32())  # no direct int64 cast
+        v = np.array(pc.fill_null(pc.cast(src, pa.int64()), 0)
+                     .to_numpy(zero_copy_only=False), np.int64)
+    if descending:
+        v = ~v
+    if (v == _I64_MAX).any():
+        raise ValueError(
+            f"order column {col!r} contains"
+            f" {'INT64_MIN' if descending else 'INT64_MAX'}, which"
+            " encodes to the nulls-last sentinel")
+    v[null] = _I64_MAX
+    return v
+
+
+def _anchor_pa_type(t: pa.DataType) -> pa.DataType:
+    """Arrow type of a column holding :func:`_order_np` values of an
+    order column of type ``t`` — int64 or float64. Keeps empty blocks
+    schema-identical to full ones."""
+    return pa.int64() if _int64_order(t) else pa.float64()
 
 
 def _segment_topk(kk: np.ndarray, sort_key: np.ndarray,
@@ -174,6 +187,168 @@ def _boundaries_before(last_a: np.ndarray, last_b: np.ndarray,
     return pos
 
 
+def _sorted_carry(ds, keys: List[str], ts: str, tiebreak: str, op: str,
+                  scan, resolve, fold, forward: bool = False, drop=()):
+    """The sort-scan-carry primitive every ordered-window operator of
+    this module runs on: ONE null-safe range-partitioned sort on
+    ``(keys, ts, tiebreak)``, a vectorized scan per sorted block,
+    O(n_blocks) carry rows folded on the driver and broadcast once,
+    then a lazy distributed resolve of the rows that need state from
+    other blocks. The sort and the scan run in one ``materialize``,
+    then the carry read; the resolve runs when the caller consumes it.
+
+    Sorted blocks are contiguous key ranges, so a key that continues
+    into a later block is the LAST key segment of each block before
+    it (the FIRST with ``forward``), and its state crosses blocks as
+    that segment's carry rows. Every pending row is stamped with the
+    exact :func:`_order_np` anchor of its block's first row (last row
+    with ``forward``) and counts its key's carries strictly before
+    that anchor (at or before it with ``forward``), so the resolve
+    never depends on how Ray re-batches the scanned blocks.
+
+    - ``scan(batch, seg_ids, starts) -> (cols, pend, carry_idx,
+      carry_cols)`` sees one non-empty sorted block, its per-row key
+      segment ids and the segment start rows. ``cols`` maps new
+      column names to per-row arrays; ``pend`` marks the rows that
+      need carries; ``carry_idx`` picks the block rows to carry and
+      ``carry_cols`` their values. A name missing on one side is NULL
+      there; carry-only names belong in ``drop``.
+    - ``fold(carries) -> state`` reduces one key's carry rows, in
+      ``(ts, tiebreak)`` order.
+    - ``resolve(kept, groups) -> kept`` finishes one batch without its
+      carry rows; ``groups`` holds ``(rows, pos, state)`` for each key
+      with pending rows and carries, ``pos[i]`` being the count above
+      for row ``rows[i]``.
+
+    ``ts``/``tiebreak`` must be numeric or temporal: a string's
+    in-batch factorization is not comparable across blocks. Integer
+    and temporal anchors are int64, so nanosecond epochs and
+    tiebreaks above 2**53 stay distinct."""
+    import ray
+
+    from .relational import null_safe_sort
+
+    aux = ["__rt", "__aa", "__ab"]
+
+    def stamp(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        if n == 0:
+            return batch  # a sorted block can be empty, even of columns
+        for c in (ts, tiebreak):
+            if _is_str(batch[c].type):
+                raise ValueError(
+                    f"{op}: order column {c!r} is a string; only"
+                    " numeric/temporal order columns carry across"
+                    " block boundaries")
+        kk = _group_key_expr(batch, keys).to_numpy(zero_copy_only=False)
+        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
+        cols, pend, cidx, ccols = scan(batch, np.cumsum(newseg) - 1,
+                                       np.nonzero(newseg)[0])
+        cidx = np.asarray(cidx, np.int64)
+        m = len(cidx)
+        main, carry = batch, batch.take(pa.array(cidx))
+        for c in list(cols) + [c for c in ccols if c not in cols]:
+            x, y = cols.get(c), ccols.get(c)
+            main = main.append_column(
+                c, pa.nulls(n, y.type) if x is None else x)
+            carry = carry.append_column(
+                c, pa.nulls(m, x.type) if y is None else y)
+        a = _order_np(batch, ts)
+        b = _order_np(batch, tiebreak)
+        e = n - 1 if forward else 0
+        main = main.append_column(
+            "__rt", pa.array(np.asarray(pend, np.int8))) \
+            .append_column("__aa", pa.array(np.full(n, a[e]))) \
+            .append_column("__ab", pa.array(np.full(n, b[e])))
+        carry = carry.append_column(
+            "__rt", pa.array(np.full(m, 2, np.int8))) \
+            .append_column("__aa", pa.array(a[cidx])) \
+            .append_column("__ab", pa.array(b[cidx]))
+        return pa.concat_tables([main, carry])
+
+    scanned = null_safe_sort(ds, keys, [ts, tiebreak]).map_batches(
+        stamp, batch_format="pyarrow", zero_copy_batch=True).materialize()
+
+    # only carry rows reach the driver: the filter runs distributed
+    def carry_only(batch: pa.Table) -> pa.Table:
+        if "__rt" not in batch.column_names:
+            return batch
+        return batch.filter(pc.equal(batch["__rt"], 2))
+
+    parts = [b for b in scanned.map_batches(
+        carry_only, batch_format="pyarrow", zero_copy_batch=True)
+        .iter_batches(batch_format="pyarrow") if b.num_rows]
+    state: dict = {}
+    if parts:
+        ct = pa.concat_tables(parts, promote_options="default")
+        kv, code = np.unique(
+            _group_key_expr(ct, keys).to_numpy(zero_copy_only=False),
+            return_inverse=True)
+        la, lb = _np(ct["__aa"]), _np(ct["__ab"])
+        order = np.lexsort((lb, la, code))
+        ct = ct.take(pa.array(order))
+        code, la, lb = code[order], la[order], lb[order]
+        bounds = np.nonzero(np.concatenate(
+            [[True], code[1:] != code[:-1], [True]]))[0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            state[str(kv[code[lo]])] = (
+                la[lo:hi], lb[lo:hi], fold(ct.slice(lo, hi - lo)))
+    handle = ray.put(state)
+
+    def finish(batch: pa.Table) -> pa.Table:
+        if "__rt" not in batch.column_names:
+            return batch
+        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
+        pend = np.nonzero(_np(kept["__rt"]) == 1)[0]
+        groups = []
+        if len(pend):
+            offs = ray.get(handle)
+            kk = _group_key_expr(kept.take(pa.array(pend)), keys) \
+                .to_numpy(zero_copy_only=False)
+            aa, ab = _np(kept["__aa"])[pend], _np(kept["__ab"])[pend]
+            for kval in np.unique(kk):
+                if kval in offs:
+                    la, lb, st = offs[kval]
+                    sel = kk == kval
+                    groups.append((pend[sel], _boundaries_before(
+                        la, lb, aa[sel], ab[sel], inclusive=forward),
+                        st))
+        return resolve(kept, groups).drop_columns(aux + list(drop))
+
+    return scanned.map_batches(finish, batch_format="pyarrow",
+                               zero_copy_batch=True)
+
+
+def _replace_rows(kept: pa.Table, name: str, rows, vals) -> pa.Table:
+    """``kept`` with column ``name`` set to ``vals`` at ``rows``
+    (any order; chunking is kept)."""
+    rows = np.asarray(rows, np.int64)
+    order = np.argsort(rows, kind="stable")
+    mask = np.zeros(kept.num_rows, bool)
+    mask[rows] = True
+    i = kept.column_names.index(name)
+    return kept.set_column(i, name, pc.replace_with_mask(
+        kept[name], pa.array(mask), vals.take(pa.array(order))))
+
+
+def _fill_from_carries(kept: pa.Table, groups, out: str,
+                       forward: bool) -> pa.Table:
+    """Shared resolve of lag, lead and forward fill: a pending row
+    takes the carried value of its key's nearest carry before its
+    block (the earliest one after it, with ``forward``); rows with
+    none keep theirs. Each key's state is its carried values."""
+    rows, vals = [], []
+    for r, pos, vv in groups:
+        for i, p in zip(r, pos if forward else pos - 1):
+            if 0 <= p < len(vv):
+                rows.append(i)
+                vals.append(vv[p])
+    if not rows:
+        return kept
+    return _replace_rows(kept, out, rows,
+                         pa.array(vals, kept[out].type))
+
+
 def grouped_top_k(ds, keys: List[str], order_col: str, k: int,
                   descending: bool = True,
                   tiebreak: Optional[str] = None,
@@ -208,7 +383,7 @@ def grouped_top_k(ds, keys: List[str], order_col: str, k: int,
 
     def tb_np(batch: pa.Table) -> np.ndarray:
         if tiebreak is None:
-            return np.arange(batch.num_rows, dtype=np.float64)
+            return np.arange(batch.num_rows, dtype=np.int64)
         return _order_np(batch, tiebreak,
                          descending=tiebreak_descending)
 
@@ -293,21 +468,15 @@ def cumulative_sum(ds, key: str, ts: str, value: str,
     deterministic SQL ROWS window).
 
     Shape (shared with :func:`grouped_value_ranks` via
-    :func:`_running_sums`): one null-safe range-partitioned sort on
-    ``(key, ts, tiebreak)``, a vectorized per-block prefix scan
-    (every segment that STARTS in a block is final), and O(n_blocks)
-    fixed-size carry rows — per block, the (sum, non-null count,
-    last ts/tb) of its first and last key segments — stitched into
-    per-key prefix offsets on the driver and broadcast back so the
-    pending first-segment rows resolve distributed. A Zipf-hot key
-    spanning every block costs two carry rows per block, never its
-    timeline. NULL values don't contribute (SQL SUM ignores them); a
-    row with no non-null value so far carries a NULL running_sum.
-    ``ts`` / ``tiebreak`` must be numeric or temporal: their values
-    cross block boundaries as exact carry positions (int64 for
-    integer and temporal columns, so nanosecond epochs and keys above
-    2**53 stay distinct; see :func:`_anchor_np`), while a per-batch
-    string factorization would not be comparable across blocks.
+    :func:`_running_sums`): :func:`_sorted_carry` with a vectorized
+    per-block prefix scan (every segment that STARTS in a block is
+    final) and one carry row per block, the (sum, non-null count) of
+    its last key segment. A Zipf-hot key spanning every block costs
+    one carry row per block, never its timeline. NULL values don't
+    contribute (SQL SUM ignores them); a row with no non-null value
+    so far carries a NULL running_sum. ``ts`` / ``tiebreak`` must be
+    numeric or temporal (exact carry positions, see
+    :func:`_sorted_carry`).
     """
     return _running_sums(ds, key, ts, [(value, "running_sum")],
                          tiebreak)
@@ -321,11 +490,10 @@ def cumulative_max(ds, key: str, ts: str, value: str,
     ``value = ts`` the running max IS the event-time watermark over
     ingestion order, and ``watermark - ts`` is each row's lateness).
 
-    Shape identical to :func:`cumulative_sum` — it delegates to the
-    same :func:`_running_sums` sort + segmented-scan + O(n_blocks)
-    carry machinery with the ``max`` combine (Hillis-Steele
+    Shape identical to :func:`cumulative_sum` — it delegates to
+    :func:`_running_sums` with the ``max`` combine (Hillis-Steele
     segmented prefix max in-block, prefix-max carry offsets on the
-    driver), so the carry protocol lives in ONE place. NULL values
+    driver). NULL values
     don't participate (SQL MAX ignores them); rows before the first
     non-null value carry NULL. Values travel as float64 — exact for
     temporal/int columns up to 2**53 ticks (us timestamps are
@@ -339,40 +507,19 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
     ``pairs`` is a list of ``(value_col, out_col)`` or ``(value_col,
     out_col, op)`` with ``op`` in {"sum", "max"} (default "sum");
     every row gains each ``out_col`` = running sum/max of its
-    ``value_col`` (NULL until the first non-null value). ONE carry
-    protocol serves both combines — the driver offsets are prefix
-    sums for "sum" and prefix maxima for "max" (identity 0 / -inf).
-    Carry/resolve machinery as described in :func:`cumulative_sum`."""
-    from .relational import null_safe_sort
-
-    sorted_ds = null_safe_sort(ds, [key], [ts, tiebreak])
+    ``value_col`` (NULL until the first non-null value). Runs on
+    :func:`_sorted_carry`: each block carries its last row, whose
+    in-segment running values are its last segment's totals, and the
+    driver folds them into per-key prefix sums for "sum" and prefix
+    maxima for "max" (identity 0 / -inf)."""
     pairs = [(p[0], p[1], p[2] if len(p) > 2 else "sum")
              for p in pairs]
-    outs = [o for _, o, _ in pairs]
     cnt_cols = [f"__cnt{i}" for i in range(len(pairs))]
     NEG = -np.inf
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"running sums: order column {c!r} is a string;"
-                    " only numeric/temporal order columns carry"
-                    " across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            base = batch.append_column("__rt", pa.array([], pa.int8()))
-            for (v, o, _), cc in zip(pairs, cnt_cols):
-                base = base.append_column(o, pa.array([], pa.float64())) \
-                    .append_column(cc, pa.array([], pa.int64()))
-            return base
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        seg_ids = np.cumsum(newseg) - 1
-        rt = np.zeros(n, np.int8)
-        rt[kk == kk[0]] = 1  # first segment: may continue a prior block
-        out = batch.append_column("__rt", pa.array(rt))
+        cols = {}
         for (value, oname, op), cc in zip(pairs, cnt_cols):
             varr = pc.cast(batch[value], pa.float64())
             if isinstance(varr, pa.ChunkedArray):
@@ -397,111 +544,39 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
                     cs[step:] = np.maximum(
                         cs[step:], np.where(same, cs[:-step], NEG))
                     step <<= 1
-            out = out.append_column(
-                oname, pa.array(cs, pa.float64())) \
-                .append_column(cc, pa.array(cn, pa.int64()))
-        # carry-out = the LAST row of the first and last key
-        # segments: its in-segment running sums ARE the segment
-        # totals and its (ts, tiebreak) is the boundary position
-        first_end = int(starts[1]) - 1 if len(starts) > 1 else n - 1
-        seg_ends = sorted({first_end, n - 1})
-        ctab = out.take(pa.array(seg_ends))
-        ctab = ctab.set_column(
-            ctab.column_names.index("__rt"), "__rt",
-            pa.array(np.full(len(seg_ends), 2, np.int8)))
-        return pa.concat_tables([out, ctab])
+            cols[oname] = pa.array(cs, pa.float64())
+            cols[cc] = pa.array(cn, pa.int64())
+        return cols, seg_ids == 0, [n - 1], \
+            {c: a.slice(n - 1, 1) for c, a in cols.items()}
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def fold(carries: pa.Table):
+        pre_s, pre_c = [], []
+        for (_, o, op), cc in zip(pairs, cnt_cols):
+            vals = _np(carries[o])
+            pre_s.append(
+                np.concatenate([[0.0], np.cumsum(vals)]) if op == "sum"
+                else np.concatenate([[NEG], np.maximum.accumulate(vals)]))
+            pre_c.append(np.concatenate([[0], np.cumsum(_np(carries[cc]))]))
+        return pre_s, pre_c
 
-    # driver receives ONLY the fixed-size carry rows (<= 2 per
-    # block): the __rt filter runs DISTRIBUTED so full blocks never
-    # cross to the driver node. Boundary positions travel as the same
-    # exact anchors (_anchor_np) the resolve pass compares against:
-    # int64 for integer/temporal order columns, nulls last.
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, [key]).to_pylist()
-        tsv = _anchor_np(kept, ts).tolist()
-        tbv = _anchor_np(kept, tiebreak).tolist()
-        cols = [kept[o].to_pylist() for o in outs] + \
-            [kept[cc].to_pylist() for cc in cnt_cols]
-        for row in zip(kk, tsv, tbv, *cols):
-            carry.setdefault(row[0], []).append(row[1:])
-
-    # per-key prefix offsets ordered by boundary (ts, tb): pre[i] =
-    # sum of the first i carry segments, so a row preceded by i
-    # boundaries adds pre[i]
-    m = len(pairs)
-    ops = [op for _, _, op in pairs]
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        last_a = np.asarray([s[0] for s in segs])
-        last_b = np.asarray([s[1] for s in segs])
-        pre_s = []
-        for i in range(m):
-            vals = np.array([s[2 + i] for s in segs],
-                            dtype=np.float64)
-            if ops[i] == "sum":
-                pre_s.append(np.concatenate([[0.0], np.cumsum(vals)]))
-            else:
-                pre_s.append(np.concatenate(
-                    [[NEG], np.maximum.accumulate(vals)]))
-        pre_c = [np.concatenate([[0], np.cumsum(
-            [s[2 + m + i] for s in segs])]).astype(np.int64)
-            for i in range(m)]
-        offsets[kval] = (last_a, last_b, pre_s, pre_c)
-
-    import ray
-
-    handle = ray.put(offsets)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt"] + cnt_cols)
-        offs = ray.get(handle)
-        kk = _group_key_expr(kept, [key]).to_numpy(zero_copy_only=False)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        runs = [kept[o].combine_chunks()
-                .to_numpy(zero_copy_only=False).copy() for o in outs]
-        cnts = [kept[cc].combine_chunks()
-                .to_numpy(zero_copy_only=False).copy()
-                for cc in cnt_cols]
-        tsv = _anchor_np(kept, ts)
-        tbv = _anchor_np(kept, tiebreak)
-        pend = np.nonzero(rt == 1)[0]
-        for kval in np.unique(kk[pend]) if len(pend) else []:
-            if kval not in offs:
-                continue
-            last_a, last_b, pre_s, pre_c = offs[kval]
-            rows = pend[kk[pend] == kval]
-            pos = _boundaries_before(last_a, last_b, tsv[rows],
-                                     tbv[rows])
-            for i in range(m):
-                if ops[i] == "sum":
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        runs = [_np(kept[o]).copy() for _, o, _ in pairs]
+        cnts = [_np(kept[cc]).copy() for cc in cnt_cols]
+        for rows, pos, (pre_s, pre_c) in groups:
+            for i, (_, _, op) in enumerate(pairs):
+                if op == "sum":
                     runs[i][rows] += pre_s[i][pos]
                 else:
                     runs[i][rows] = np.maximum(runs[i][rows],
                                                pre_s[i][pos])
                 cnts[i][rows] += pre_c[i][pos]
-        out = kept
-        for i, o in enumerate(outs):
-            out = out.set_column(out.column_names.index(o), o, pa.array(
-                runs[i], pa.float64(), mask=(cnts[i] == 0)))
-        return out.drop_columns(["__rt"] + cnt_cols)
+        for (_, o, _), run, cnt in zip(pairs, runs, cnts):
+            kept = kept.set_column(kept.column_names.index(o), o, pa.array(
+                run, pa.float64(), mask=(cnt == 0)))
+        return kept
 
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(ds, [key], ts, tiebreak, "running sums", scan,
+                         resolve, fold, drop=cnt_cols)
 
 
 def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -513,152 +588,61 @@ def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
     SQL SUM semantics). ``(ts, tiebreak)`` must be unique per key,
     numeric/temporal only (the :func:`cumulative_sum` contract).
 
-    Shape: one null-safe sort, per-block windowed prefix-sum
+    Shape: :func:`_sorted_carry` with per-block windowed prefix-sum
     differences (every row with ``window_n - 1`` same-key in-block
-    predecessors is final), and <= 2 * (window_n - 1) carry rows per
-    block — the tails of its first and last key segments. Only each
-    block's first <= window_n - 1 rows of its FIRST segment are
-    pending; they resolve distributed by taking the last carries of
-    their key strictly before the block's first position, so the
-    in-block part is never double-counted. Driver state is
-    O(window_n * n_blocks), independent of any key's row count.
-    Exactness note: sums are float64 prefix differences — for
-    bit-exact parity with a sequential SQL engine feed integer
-    (or integer-scaled) values.
+    predecessors is final) and <= window_n - 1 carry rows per block,
+    the tail of its last key segment. Only each block's first <=
+    window_n - 1 rows are pending, and they add the non-null values
+    among their key's last carries before the block, so the in-block
+    part is never double-counted. Driver state is O(window_n *
+    n_blocks), independent of any key's row count. Exactness note:
+    sums are float64 prefix differences — for bit-exact parity with a
+    sequential SQL engine feed integer (or integer-scaled) values.
     """
     if window_n < 1:
         raise ValueError("windowed_sum requires window_n >= 1")
-    from .relational import null_safe_sort
-
-    sorted_ds = null_safe_sort(ds, [key], [ts, tiebreak])
     tail = window_n - 1
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"windowed_sum: order column {c!r} is a string;"
-                    " only numeric/temporal order columns carry"
-                    " across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            return batch.append_column("__rt", pa.array([], pa.int8())) \
-                .append_column(out, pa.array([], pa.float64())) \
-                .append_column("win_cnt", pa.array([], pa.int64()))
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
         varr = pc.cast(batch[value], pa.float64())
         if isinstance(varr, pa.ChunkedArray):
             varr = varr.combine_chunks()
         valid = pc.is_valid(varr).to_numpy(zero_copy_only=False)
         v = pc.fill_null(varr, 0.0).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        seg_ids = np.cumsum(newseg) - 1
         idx = np.arange(n)
         in_seg = idx - starts[seg_ids]
         cs0 = np.concatenate([[0.0], np.cumsum(v)])
         cn0 = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
         lo = np.maximum(idx - tail, starts[seg_ids])
-        wsum = cs0[idx + 1] - cs0[lo]
-        wcnt = cn0[idx + 1] - cn0[lo]
-        rt = np.zeros(n, np.int8)
-        first_seg = kk == kk[0]
-        rt[first_seg & (in_seg < tail)] = 1
-        out_t = batch.append_column("__rt", pa.array(rt)) \
-            .append_column(out, pa.array(wsum, pa.float64())) \
-            .append_column("win_cnt", pa.array(wcnt, pa.int64()))
-        if tail == 0:
-            return out_t
-        # carry rows: the last <= tail rows of the first and the
-        # last key segments (deduplicated when they coincide); the
-        # `out` column of a carry holds the row's OWN value
-        first_end = int(starts[1]) - 1 if len(starts) > 1 else n - 1
-        rows: set = set()
-        for end in {first_end, n - 1}:
-            seg_start = int(starts[seg_ids[end]])
-            rows.update(range(max(seg_start, end - tail + 1), end + 1))
-        sel = sorted(rows)
-        ctab = batch.take(pa.array(sel)) \
-            .append_column("__rt", pa.array(
-                np.full(len(sel), 2, np.int8))) \
-            .append_column(out, pc.cast(varr.take(pa.array(sel)),
-                                        pa.float64())) \
-            .append_column("win_cnt", pa.array(
-                np.zeros(len(sel), np.int64)))
-        return pa.concat_tables([out_t, ctab])
+        cidx = np.arange(max(int(starts[-1]), n - tail), n)
+        # a carry's `out` holds the row's OWN value
+        return ({out: pa.array(cs0[idx + 1] - cs0[lo], pa.float64()),
+                 "win_cnt": pa.array(cn0[idx + 1] - cn0[lo], pa.int64()),
+                 "__j": pa.array(in_seg, pa.int64())},
+                (seg_ids == 0) & (in_seg < tail), cidx,
+                {out: varr.take(pa.array(cidx))})
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        wsum = _np(kept[out]).copy()
+        wcnt = _np(kept["win_cnt"]).copy()
+        j = _np(kept["__j"])
+        for rows, pos, vv in groups:
+            for i, p in zip(rows, pos):
+                take = min(tail - int(j[i]), int(p))
+                vals = [x for x in vv[p - take:p] if x is not None]
+                if vals:
+                    wsum[i] += float(np.sum(vals))
+                    wcnt[i] += len(vals)
+        res = kept.set_column(kept.column_names.index(out), out,
+                              pa.array(wsum, pa.float64(),
+                                       mask=(wcnt == 0)))
+        return res.set_column(res.column_names.index("win_cnt"),
+                              "win_cnt", pa.array(wcnt, pa.int64()))
 
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, [key]).to_pylist()
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
-        vals = kept[out].to_pylist()
-        for kval, t, tb, vv in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((float(t), float(tb), vv))
-
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        offsets[kval] = (
-            np.array([s[0] for s in segs], dtype=np.float64),
-            np.array([s[1] for s in segs], dtype=np.float64),
-            [s[2] for s in segs])
-
-    import ray
-
-    handle = ray.put(offsets)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt"])
-        offs = ray.get(handle)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        wsum = kept[out].combine_chunks() \
-            .to_numpy(zero_copy_only=False).copy()
-        wcnt = kept["win_cnt"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).copy()
-        if len(pend):
-            kk = _group_key_expr(kept, [key]) \
-                .to_numpy(zero_copy_only=False)
-            tsv = _order_np(kept, ts, descending=False)
-            tbv = _order_np(kept, tiebreak, descending=False)
-            kval = kk[pend[0]]  # all pending rows share the block's
-            # first key, and arrive in block order (j = in-seg index)
-            if kval in offs:
-                la, lb, vv = offs[kval]
-                pos0 = int(_boundaries_before(
-                    la, lb, tsv[pend[:1]], tbv[pend[:1]])[0])
-                for j, i in enumerate(pend):
-                    take = min(tail - j, pos0)
-                    if take <= 0:
-                        continue
-                    vals = [x for x in vv[pos0 - take:pos0]
-                            if x is not None]
-                    if vals:
-                        wsum[i] += float(np.sum(vals))
-                        wcnt[i] += len(vals)
-        oi = kept.column_names.index(out)
-        res = kept.set_column(oi, out, pa.array(
-            wsum, pa.float64(), mask=(wcnt == 0)))
-        ci = res.column_names.index("win_cnt")
-        res = res.set_column(ci, "win_cnt", pa.array(wcnt, pa.int64()))
-        return res.drop_columns(["__rt"])
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(ds, [key], ts, tiebreak, "windowed_sum", scan,
+                         resolve, lambda t: t[out].to_pylist(),
+                         drop=["__j"])
 
 
 def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -666,13 +650,13 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
                    cnt_out: str):
     """Shared harness for order-sensitive ROWS-frame window operators
     whose per-frame statistic cannot fold into a combinable partial
-    (median, min/max, ...): one null-safe sort, a vectorized
-    ``sliding_window_view`` kernel per block, and the
-    :func:`windowed_sum` carry discipline — only each block's first
-    <= window_n - 1 rows can reach across blocks, recomputing
-    distributed from <= 2 * (window_n - 1) null-preserved carry rows
-    per block (the tails of its first and last key segments). Driver
-    state is O(window_n * n_blocks), independent of any key's size.
+    (median, min/max, ...): :func:`_sorted_carry` with a vectorized
+    ``sliding_window_view`` kernel per block and the
+    :func:`windowed_sum` carries — the last <= window_n - 1 values
+    (nulls kept) of each block's last key segment. Each pending row
+    also keeps its in-block frame, so it recomputes distributed from
+    carries and that frame. Driver state is O(window_n * n_blocks),
+    independent of any key's size.
 
     ``outs`` is the ordered list of output column names (int64;
     quantize float inputs BEFORE calling — the repo's fixed-point
@@ -688,34 +672,15 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
         raise ValueError("windowed_* requires window_n >= 1")
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from .relational import null_safe_sort
-
-    sorted_ds = null_safe_sort(ds, [key], [ts, tiebreak])
     tail = window_n - 1
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"windowed op: order column {c!r} is a string;"
-                    " only numeric/temporal order columns carry"
-                    " across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            t = batch.append_column("__rt", pa.array([], pa.int8()))
-            for name in outs:
-                t = t.append_column(name, pa.array([], pa.int64()))
-            return t.append_column(cnt_out, pa.array([], pa.int64())) \
-                .append_column("__cv", pa.array([], pa.float64()))
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
         varr = pc.cast(batch[value], pa.float64())
         if isinstance(varr, pa.ChunkedArray):
             varr = varr.combine_chunks()
         valid = pc.is_valid(varr).to_numpy(zero_copy_only=False)
         v = pc.fill_null(varr, 0.0).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        seg_ids = np.cumsum(newseg) - 1
-        starts = np.nonzero(newseg)[0]
         vp = np.concatenate([np.zeros(tail, np.float64), v])
         okp = np.concatenate([np.zeros(tail, bool), valid])
         sgp = np.concatenate([np.full(tail, -1, np.int64), seg_ids])
@@ -726,123 +691,48 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
                         np.inf)
         cnt = sw_ok.sum(1).astype(np.int64)
         stats = block_kernel(vals, sw_ok, cnt)
-        rt = np.zeros(n, np.int8)
-        first_seg = kk == kk[0]
+        cols = {name: pa.array(
+            np.round(np.where(cnt > 0, stats[name], 0.0)).astype(np.int64),
+            pa.int64(), mask=(cnt == 0)) for name in outs}
+        cols[cnt_out] = pa.array(cnt, pa.int64())
+        # a pending row j keeps its in-block frame, rows 0..j (nulls
+        # kept); other rows an empty list
         in_seg = np.arange(n) - starts[seg_ids]
-        rt[first_seg & (in_seg < tail)] = 1
-        out_t = batch.append_column("__rt", pa.array(rt))
-        for name in outs:
-            safe = np.where(cnt > 0, stats[name], 0.0)
-            out_t = out_t.append_column(name, pa.array(
-                np.round(safe).astype(np.int64), pa.int64(),
-                mask=(cnt == 0)))
-        out_t = out_t.append_column(cnt_out, pa.array(cnt, pa.int64())) \
-            .append_column("__cv", pa.nulls(n, pa.float64()))
-        if tail == 0:
-            return out_t
-        # carry rows: the last <= tail rows of the first and the
-        # last key segments; __cv holds the row's OWN value
-        # (null-preserved) for the distributed recompute
-        first_end = int(starts[1]) - 1 if len(starts) > 1 else n - 1
-        rows: set = set()
-        for end in {first_end, n - 1}:
-            seg_start = int(starts[seg_ids[end]])
-            rows.update(range(max(seg_start, end - tail + 1), end + 1))
-        sel = sorted(rows)
-        ctab = batch.take(pa.array(sel)) \
-            .append_column("__rt", pa.array(
-                np.full(len(sel), 2, np.int8)))
-        for name in outs:
-            ctab = ctab.append_column(name, pa.nulls(len(sel),
-                                                     pa.int64()))
-        ctab = ctab.append_column(cnt_out, pa.array(
-            np.zeros(len(sel), np.int64))) \
-            .append_column("__cv", varr.take(pa.array(sel)))
-        return pa.concat_tables([out_t, ctab])
+        pend = (seg_ids == 0) & (in_seg < tail)
+        lens = np.where(pend, in_seg + 1, 0)
+        offs = np.concatenate([[0], np.cumsum(lens)])
+        flat = np.arange(offs[-1]) - np.repeat(offs[:-1], lens)
+        cols["__fv"] = pa.ListArray.from_arrays(
+            pa.array(offs, pa.int32()), varr.take(pa.array(flat)))
+        cidx = np.arange(max(int(starts[-1]), n - tail), n)
+        return cols, pend, cidx, {"__cv": varr.take(pa.array(cidx))}
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, [key]).to_pylist()
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
-        vals = kept["__cv"].to_pylist()
-        for kval, t, tb, vv in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((float(t), float(tb), vv))
-
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        offsets[kval] = (
-            np.array([s[0] for s in segs], dtype=np.float64),
-            np.array([s[1] for s in segs], dtype=np.float64),
-            [s[2] for s in segs])
-
-    import ray
-
-    handle = ray.put(offsets)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt", "__cv"])
-        offs = ray.get(handle)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        stats = {name: pc.fill_null(kept[name].combine_chunks(), 0)
-                 .to_numpy(zero_copy_only=False).copy()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        stats = {name: _np(pc.fill_null(kept[name], 0)).copy()
                  for name in outs}
-        cnt = kept[cnt_out].combine_chunks() \
-            .to_numpy(zero_copy_only=False).copy()
-        if len(pend):
-            kk = _group_key_expr(kept, [key]) \
-                .to_numpy(zero_copy_only=False)
-            tsv = _order_np(kept, ts, descending=False)
-            tbv = _order_np(kept, tiebreak, descending=False)
-            # only the pending prefix's own values are ever gathered
-            inblock = pc.cast(kept[value], pa.float64()) \
-                .slice(int(pend[0]),
-                       int(pend[-1] - pend[0] + 1)).to_pylist()
-            kval = kk[pend[0]]  # all pending rows share the block's
-            # first key, and arrive in block order (j = in-seg index)
-            ext_vals: list = []
-            if kval in offs:
-                la, lb, vv = offs[kval]
-                pos0 = int(_boundaries_before(
-                    la, lb, tsv[pend[:1]], tbv[pend[:1]])[0])
-                ext_vals = vv[max(pos0 - tail, 0):pos0]
-            for j, i in enumerate(pend):
-                take = min(tail - j, len(ext_vals))
-                frame = ([] if take <= 0
-                         else ext_vals[len(ext_vals) - take:]) \
-                    + inblock[:j + 1]
+        cnt = _np(kept[cnt_out]).copy()
+        fvs = kept["__fv"]
+        for rows, pos, vv in groups:
+            for i, p in zip(rows, pos):
+                inblock = fvs[int(i)].as_py()
+                take = min(window_n - len(inblock), int(p))
+                frame = (vv[p - take:p] if take > 0 else []) + inblock
                 fv = np.sort(np.array(
                     [x for x in frame if x is not None], np.float64))
                 cnt[i] = len(fv)
                 if len(fv):
-                    res = pending_fn(fv)
-                    for name, val in zip(outs, res):
+                    for name, val in zip(outs, pending_fn(fv)):
                         stats[name][i] = val
         for name in outs:
-            oi = kept.column_names.index(name)
-            kept = kept.set_column(oi, name, pa.array(
-                stats[name], pa.int64(), mask=(cnt == 0)))
-        ci = kept.column_names.index(cnt_out)
-        kept = kept.set_column(ci, cnt_out, pa.array(cnt, pa.int64()))
-        return kept.drop_columns(["__rt", "__cv"])
+            kept = kept.set_column(
+                kept.column_names.index(name), name,
+                pa.array(stats[name], pa.int64(), mask=(cnt == 0)))
+        return kept.set_column(kept.column_names.index(cnt_out),
+                               cnt_out, pa.array(cnt, pa.int64()))
 
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(ds, [key], ts, tiebreak, "windowed op", scan,
+                         resolve, lambda t: t["__cv"].to_pylist(),
+                         drop=["__fv", "__cv"])
 
 
 def windowed_median(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -1036,8 +926,8 @@ def grouped_row_numbers(ds, key: str, ts: str, tiebreak: str,
 
     Shape: a running COUNT is a running sum of ones, so this is
     :func:`_running_sums` verbatim — one null-safe sort, a per-block
-    prefix scan, O(n_blocks) fixed-size carries; a hot key costs two
-    carry rows per block, never its timeline."""
+    prefix scan, O(n_blocks) fixed-size carries; a hot key costs one
+    carry row per block, never its timeline."""
     def ones(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "__one", pa.array(np.ones(batch.num_rows, np.float64)))
@@ -1064,7 +954,7 @@ def global_row_numbers(ds, ts: str, tiebreak: str,
 
     Shape: :func:`grouped_row_numbers` with ONE constant partition
     key. The carry machinery was built hot-key-proof (a key spanning
-    every block costs two fixed-size carry rows per block, verified
+    every block costs one fixed-size carry row per block, verified
     by the 200k single-conversation test), so the degenerate
     all-rows-one-key case is exactly the shape it already handles:
     one range-partitioned sort on (ts, tiebreak), a per-block prefix
@@ -1204,13 +1094,15 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
 
     def scan(batch: pa.Table) -> pa.Table:
         ktype = batch[key].type
+        at = _anchor_pa_type(batch[col].type)
+        bt = _anchor_pa_type(batch[tiebreak].type)
         empty = pa.table({
             key: pa.array([], ktype),
             "q": pa.array([], pa.float64()),
             "value": pa.array([], pa.float64()),
             "__k": pa.array([], pa.string()),
-            "__col": pa.array([], pa.float64()),
-            "__tb": pa.array([], pa.float64()),
+            "__col": pa.array([], at),
+            "__tb": pa.array([], bt),
             "__rank": pa.array([], pa.int64()),
             "__cnt": pa.array([], pa.int64()),
             "__rt": pa.array([], pa.int8()),
@@ -1219,8 +1111,8 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
         if n == 0:
             return empty
         kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        colv = _order_np(batch, col, descending=False)
-        tbv = _order_np(batch, tiebreak, descending=False)
+        colv = _order_np(batch, col)
+        tbv = _order_np(batch, tiebreak)
         newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
         starts = np.nonzero(newseg)[0]
         ends = np.concatenate([starts[1:], [n]])
@@ -1247,8 +1139,8 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
                 "q": pa.array(qv, pa.float64()),
                 "value": pc.cast(rows[col], pa.float64()),
                 "__k": pa.array([""] * m, pa.string()),
-                "__col": pa.array(np.zeros(m), pa.float64()),
-                "__tb": pa.array(np.zeros(m), pa.float64()),
+                "__col": pa.array(np.zeros(m, np.int64), at),
+                "__tb": pa.array(np.zeros(m, np.int64), bt),
                 "__rank": pa.array(np.zeros(m, np.int64)),
                 "__cnt": pa.array(np.zeros(m, np.int64)),
                 "__rt": pa.array(np.zeros(m, np.int8)),
@@ -1262,8 +1154,8 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
             "q": pa.array(np.zeros(m), pa.float64()),
             "value": pc.cast(er[col], pa.float64()),
             "__k": pa.array(kk[edge_rows].tolist(), pa.string()),
-            "__col": pa.array(colv[edge_rows], pa.float64()),
-            "__tb": pa.array(tbv[edge_rows], pa.float64()),
+            "__col": pa.array(colv[edge_rows], at),
+            "__tb": pa.array(tbv[edge_rows], bt),
             "__rank": pa.array(local_rank[edge_rows], pa.int64()),
             "__cnt": pa.array(np.zeros(m, np.int64)),
             "__rt": pa.array(np.ones(m, np.int8)),
@@ -1277,8 +1169,8 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
             "q": pa.array(np.zeros(mc), pa.float64()),
             "value": pc.cast(ce[col], pa.float64()),
             "__k": pa.array(kk[carry_ends].tolist(), pa.string()),
-            "__col": pa.array(colv[carry_ends], pa.float64()),
-            "__tb": pa.array(tbv[carry_ends], pa.float64()),
+            "__col": pa.array(colv[carry_ends], at),
+            "__tb": pa.array(tbv[carry_ends], bt),
             "__rank": pa.array(np.zeros(mc, np.int64)),
             "__cnt": pa.array(counts, pa.int64()),
             "__rt": pa.array(np.full(mc, 2, np.int8)),
@@ -1304,8 +1196,8 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
     offsets = {}
     for kval, segs in carry.items():
         segs.sort()
-        last_a = np.array([a for a, _, _ in segs], dtype=np.float64)
-        last_b = np.array([b for _, b, _ in segs], dtype=np.float64)
+        last_a = np.array([a for a, _, _ in segs])
+        last_b = np.array([b for _, b, _ in segs])
         pre_c = np.concatenate([[0], np.cumsum(
             [c for _, _, c in segs])]).astype(np.int64)
         total = int(pre_c[-1])
@@ -1406,12 +1298,11 @@ def lag_column(ds, key, ts: str, value: str, tiebreak: str,
     per key (numeric/temporal only, same contract as
     :func:`cumulative_sum`).
 
-    Shape: one null-safe sort, a per-block vectorized shift per key
-    segment, and ONE carry row per block (its last row) — only each
-    block's FIRST row can have a cross-block predecessor, and the
-    globally sorted order makes that predecessor the latest earlier
-    carry of the same key. Driver state is O(n_blocks); pending rows
-    resolve distributed against the broadcast carry table.
+    Shape: :func:`_sorted_carry` with a per-block vectorized shift
+    per key segment and ONE carry row per block (its last row) —
+    only each block's FIRST row can have a cross-block predecessor,
+    and the globally sorted order makes that predecessor the latest
+    earlier carry of the same key. Driver state is O(n_blocks).
     """
     return _shift_column(ds, key, ts, value, tiebreak, out,
                          forward=False)
@@ -1432,129 +1323,38 @@ def lead_column(ds, key, ts: str, value: str, tiebreak: str,
 
 def _shift_column(ds, key, ts: str, value: str, tiebreak: str,
                   out: str, forward: bool):
-    from .relational import null_safe_sort
-
     keys = [key] if isinstance(key, str) else list(key)
-    sorted_ds = null_safe_sort(ds, keys, [ts, tiebreak])
-    op = "lead_column" if forward else "lag_column"
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"{op}: order column {c!r} is a string;"
-                    " only numeric/temporal order columns carry"
-                    " across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
         varr = batch[value]
         if isinstance(varr, pa.ChunkedArray):
             varr = varr.combine_chunks()
-        if n == 0:
-            return batch.append_column(out, pa.nulls(0, varr.type)) \
-                .append_column("__rt", pa.array([], pa.int8()))
-        kk = _group_key_expr(batch, keys).to_numpy(zero_copy_only=False)
         # in-block shift: neighbour row's value where the neighbour
         # shares the key, else null
         idx = np.arange(n)
+        same = seg_ids[1:] == seg_ids[:-1]
         if forward:
-            nb_ok = np.concatenate([kk[1:] == kk[:-1], [False]])
+            nb_ok = np.concatenate([same, [False]])
             gather = np.where(nb_ok, idx + 1, 0)
         else:
-            nb_ok = np.concatenate([[False], kk[1:] == kk[:-1]])
+            nb_ok = np.concatenate([[False], same])
             gather = np.where(nb_ok, idx - 1, 0)
         shifted = pc.if_else(pa.array(nb_ok),
                              varr.take(pa.array(gather)),
                              pa.scalar(None, varr.type))
-        rt = np.zeros(n, np.int8)
-        # only the block's boundary row can look across blocks
-        pend_i, carry_i = (n - 1, 0) if forward else (0, n - 1)
-        rt[pend_i] = 1
-        out_t = batch.append_column(out, shifted) \
-            .append_column("__rt", pa.array(rt))
-        carry = batch.slice(carry_i, 1) \
-            .append_column(out, varr.slice(carry_i, 1)) \
-            .append_column("__rt", pa.array([2], pa.int8()))
-        # carry's `out` column holds the boundary row's OWN value
-        return pa.concat_tables([out_t, carry])
+        # only the block's boundary row can look across blocks; the
+        # carry is the opposite boundary row with its OWN value
+        pend = np.zeros(n, bool)
+        pend[n - 1 if forward else 0] = True
+        c = 0 if forward else n - 1
+        return {out: shifted}, pend, [c], {out: varr.slice(c, 1)}
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, keys).to_pylist()
-        tsv = _anchor_np(kept, ts).tolist()
-        tbv = _anchor_np(kept, tiebreak).tolist()
-        vals = kept[out].to_pylist()
-        for kval, t, tb, v in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((t, tb, v))
-
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        offsets[kval] = (
-            np.asarray([s[0] for s in segs]),
-            np.asarray([s[1] for s in segs]),
-            [s[2] for s in segs])
-
-    import ray
-
-    handle = ray.put(offsets)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt"])
-        offs = ray.get(handle)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        if not len(pend):
-            return kept.drop_columns(["__rt"])
-        kk = _group_key_expr(kept, keys).to_numpy(zero_copy_only=False)
-        tsv = _anchor_np(kept, ts)
-        tbv = _anchor_np(kept, tiebreak)
-        varr = kept[out]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
-        fill_idx, fill_val = [], []
-        for i in pend:
-            kval = kk[i]
-            if kval not in offs:
-                continue
-            la, lb, vv = offs[kval]
-            if forward:
-                # earliest carry strictly AFTER this row's position
-                pos = int(_boundaries_before(
-                    la, lb, np.array([tsv[i]]), np.array([tbv[i]]),
-                    inclusive=True)[0])
-                if pos < len(vv):
-                    fill_idx.append(int(i))
-                    fill_val.append(vv[pos])
-            else:
-                # latest carry strictly BEFORE this row's position
-                pos = int(_boundaries_before(
-                    la, lb, np.array([tsv[i]]), np.array([tbv[i]]))[0])
-                if pos > 0:
-                    fill_idx.append(int(i))
-                    fill_val.append(vv[pos - 1])
-        if fill_idx:
-            mask = np.zeros(n, bool)
-            mask[fill_idx] = True
-            varr = pc.replace_with_mask(
-                varr, pa.array(mask), pa.array(fill_val, varr.type))
-        i = kept.column_names.index(out)
-        return kept.set_column(i, out, varr).drop_columns(["__rt"])
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(
+        ds, keys, ts, tiebreak, "lead_column" if forward else "lag_column",
+        scan, lambda kept, groups: _fill_from_carries(
+            kept, groups, out, forward),
+        lambda t: t[out].to_pylist(), forward=forward)
 
 
 def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
@@ -1616,7 +1416,7 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
                 out.setdefault(hi, []).append((qi_of[q], True, frac))
         return out
 
-    def _empty(ktype) -> pa.Table:
+    def _empty(ktype, at, bt) -> pa.Table:
         return pa.table({
             key: pa.array([], ktype),
             "__qi": pa.array([], pa.int64()),
@@ -1624,8 +1424,8 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
             "__vhi": pa.array([], pa.float64()),
             "__frac": pa.array([], pa.float64()),
             "__k": pa.array([], pa.string()),
-            "__col": pa.array([], pa.float64()),
-            "__tb": pa.array([], pa.float64()),
+            "__col": pa.array([], at),
+            "__tb": pa.array([], bt),
             "__rank": pa.array([], pa.int64()),
             "__cnt": pa.array([], pa.int64()),
             "__rt": pa.array([], pa.int8()),
@@ -1633,13 +1433,15 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
 
     def scan(batch: pa.Table) -> pa.Table:
         ktype = batch[key].type
-        empty = _empty(ktype)
+        at = _anchor_pa_type(batch[col].type)
+        bt = _anchor_pa_type(batch[tiebreak].type)
+        empty = _empty(ktype, at, bt)
         n = batch.num_rows
         if n == 0:
             return empty
         kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        colv = _order_np(batch, col, descending=False)
-        tbv = _order_np(batch, tiebreak, descending=False)
+        colv = _order_np(batch, col)
+        tbv = _order_np(batch, tiebreak)
         vals = pc.cast(batch[col], pa.float64())
         if isinstance(vals, pa.ChunkedArray):
             vals = vals.combine_chunks()
@@ -1678,8 +1480,8 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
                 "__vhi": pa.array(np.concatenate(sel_hi), pa.float64()),
                 "__frac": pa.array(np.concatenate(sel_fr), pa.float64()),
                 "__k": pa.array([""] * m, pa.string()),
-                "__col": pa.array(np.zeros(m), pa.float64()),
-                "__tb": pa.array(np.zeros(m), pa.float64()),
+                "__col": pa.array(np.zeros(m, np.int64), at),
+                "__tb": pa.array(np.zeros(m, np.int64), bt),
                 "__rank": pa.array(np.zeros(m, np.int64)),
                 "__cnt": pa.array(np.zeros(m, np.int64)),
                 "__rt": pa.array(np.zeros(m, np.int8)),
@@ -1696,8 +1498,8 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
                               mask=np.ones(m, bool)),
             "__frac": pa.array(np.zeros(m), pa.float64()),
             "__k": pa.array(kk[edge_rows].tolist(), pa.string()),
-            "__col": pa.array(colv[edge_rows], pa.float64()),
-            "__tb": pa.array(tbv[edge_rows], pa.float64()),
+            "__col": pa.array(colv[edge_rows], at),
+            "__tb": pa.array(tbv[edge_rows], bt),
             "__rank": pa.array(local_rank[edge_rows], pa.int64()),
             "__cnt": pa.array(np.zeros(m, np.int64)),
             "__rt": pa.array(np.ones(m, np.int8)),
@@ -1714,8 +1516,8 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
                               mask=np.ones(mc, bool)),
             "__frac": pa.array(np.zeros(mc), pa.float64()),
             "__k": pa.array(kk[carry_ends].tolist(), pa.string()),
-            "__col": pa.array(colv[carry_ends], pa.float64()),
-            "__tb": pa.array(tbv[carry_ends], pa.float64()),
+            "__col": pa.array(colv[carry_ends], at),
+            "__tb": pa.array(tbv[carry_ends], bt),
             "__rank": pa.array(np.zeros(mc, np.int64)),
             "__cnt": pa.array(counts, pa.int64()),
             "__rt": pa.array(np.full(mc, 2, np.int8)),
@@ -1738,8 +1540,8 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
     offsets = {}
     for kval, segs in carry.items():
         segs.sort()
-        last_a = np.array([a for a, _, _ in segs], dtype=np.float64)
-        last_b = np.array([b for _, b, _ in segs], dtype=np.float64)
+        last_a = np.array([a for a, _, _ in segs])
+        last_b = np.array([b for _, b, _ in segs])
         pre_c = np.concatenate([[0], np.cumsum(
             [c for _, _, c in segs])]).astype(np.int64)
         total = int(pre_c[-1])
@@ -1812,8 +1614,10 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
             .to_numpy(zero_copy_only=False)
         vlo = batch["__vlo"].combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.float64)
-        vhi = pc.fill_null(batch["__vhi"].combine_chunks(), np.nan) \
-            .to_numpy(zero_copy_only=False).astype(np.float64)
+        # a block whose __vhi is all NULL can come out of the
+        # multi-block aggregate typed null: cast before the fill
+        vhi = _np(pc.fill_null(pc.cast(batch["__vhi"], pa.float64()),
+                               np.nan))
         fr = batch["__frac"].combine_chunks() \
             .to_numpy(zero_copy_only=False)
         val = np.where(np.isnan(vhi), vlo, vlo + (vhi - vlo) * fr)
@@ -1921,11 +1725,12 @@ def grouped_string_agg(ds, key: str, ord_col: str, val_col: str,
         if n == 0:
             return pa.table({
                 key: pa.array([], batch[key].type),
-                "__ord0": pa.array([], pa.float64()),
+                "__ord0": pa.array([], _anchor_pa_type(
+                    batch[ord_col].type)),
                 "__piece": pa.array([], pa.string()),
             })
         kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        ordv = _order_np(batch, ord_col, descending=False)
+        ordv = _order_np(batch, ord_col)
         newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
         starts = np.nonzero(newseg)[0]
         vals = batch[val_col].combine_chunks()
@@ -1939,7 +1744,7 @@ def grouped_string_agg(ds, key: str, ord_col: str, val_col: str,
         st = pa.array(starts, pa.int64())
         return pa.table({
             key: batch[key].take(st),
-            "__ord0": pa.array(ordv[starts], pa.float64()),
+            "__ord0": pa.array(ordv[starts]),
             "__piece": joined,
         })
 
@@ -1982,60 +1787,29 @@ def trailing_concat(ds, key, ts: str, value: str, tiebreak: str,
     is empty get a NULL ``out`` and ``out_n = 0`` (SQL: string_agg
     over an empty frame is NULL). ``(key, ts, tiebreak)`` must be
     unique per row; ``ts``/``tiebreak`` must be numeric/temporal
-    (their values stitch windows across block boundaries — carried
-    EXACTLY: integer/temporal anchors travel as int64, so
-    nanosecond-epoch timestamps above 2^53 never collapse in a
-    float64 round-trip).
+    (their values stitch windows across block boundaries, exactly:
+    see :func:`_sorted_carry`).
 
-    Shape: ONE null-safe range-partitioned sort on ``(key, ts,
-    tiebreak)``. Each block builds every row's window VECTORIZED — a
-    flat gather of at most ``k * n`` child indices into one
-    list-array ``pc.binary_join`` — and only rows in the block's
-    FIRST key segment with fewer than ``k`` in-block predecessors
-    are pended. Each block also emits its LAST ``k`` rows as carry
-    rows, so the driver stitch state is ``k * n_blocks`` rows
-    regardless of key skew (the hot-conversation bound: one
-    conversation owning the corpus still carries k rows per block,
-    never its rows)."""
-    from .relational import null_safe_sort
-
+    Shape: :func:`_sorted_carry`. Each block builds every row's
+    window VECTORIZED — a flat gather of at most ``k * n`` child
+    indices into one list-array ``pc.binary_join`` — and only rows in
+    the block's FIRST key segment with fewer than ``k`` in-block
+    predecessors are pended. Each block carries the LAST ``k`` rows
+    of its last key segment, so the driver stitch state is ``k *
+    n_blocks`` rows regardless of key skew (the hot-conversation
+    bound: one conversation owning the corpus still carries k rows
+    per block, never its rows)."""
     keys = [key] if isinstance(key, str) else list(key)
-    sorted_ds = null_safe_sort(ds, keys, [ts, tiebreak])
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"trailing_concat: order column {c!r} is a"
-                    " string; only numeric/temporal order columns"
-                    " carry across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
         vals = batch[value]
         if isinstance(vals, pa.ChunkedArray):
             vals = vals.combine_chunks()
         vals = pc.fill_null(vals, "")
-        if n == 0:
-            return batch.append_column(out, pa.nulls(0, pa.string())) \
-                .append_column(out_n, pa.array([], pa.int64())) \
-                .append_column("__rt", pa.array([], pa.int8())) \
-                .append_column("__aa", pa.array(
-                    [], _anchor_pa_type(batch[ts].type))) \
-                .append_column("__ab", pa.array(
-                    [], _anchor_pa_type(batch[tiebreak].type)))
-        kk = _group_key_expr(batch, keys).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        seg_first = np.nonzero(newseg)[0][np.cumsum(newseg) - 1]
         i = np.arange(n)
-        start = np.maximum(i - k, seg_first)
+        start = np.maximum(i - k, starts[seg_ids])
         win_len = (i - start).astype(np.int64)
-        # each row's stitch anchor — the (ts, tiebreak) of its
-        # EARLIEST in-block window row — travels WITH the row, so
-        # resolve never does batch-relative index arithmetic (Ray
-        # may re-split scanned blocks at arbitrary row offsets)
-        ots = _anchor_np(batch, ts)
-        otb = _anchor_np(batch, tiebreak)
-        aa = ots[start]
-        ab = otb[start]
 
         def build(lo: int, hi: int) -> pa.Array:
             wl = win_len[lo:hi]
@@ -2084,112 +1858,32 @@ def trailing_concat(ds, key, ts: str, value: str, tiebreak: str,
                 [build(int(lo), int(hi))
                  for lo, hi in zip(bounds[:-1], bounds[1:])
                  if hi > lo])
-        pend = (np.cumsum(newseg) == 1) & (win_len < k)
-        rt = np.zeros(n, np.int8)
-        rt[pend] = 1
-        out_t = batch.append_column(out, ctx) \
-            .append_column(out_n, pa.array(win_len)) \
-            .append_column("__rt", pa.array(rt)) \
-            .append_column("__aa", pa.array(aa)) \
-            .append_column("__ab", pa.array(ab))
-        m = min(k, n)
-        carry = batch.slice(n - m, m) \
-            .append_column(out, pc.cast(vals.slice(n - m, m),
-                                        pa.string())) \
-            .append_column(out_n, pa.array(np.zeros(m, np.int64))) \
-            .append_column("__rt", pa.array(np.full(m, 2, np.int8))) \
-            .append_column("__aa", pa.array(ots[n - m:])) \
-            .append_column("__ab", pa.array(otb[n - m:]))
-        return pa.concat_tables([out_t, carry])
+        cidx = np.arange(max(int(starts[-1]), n - k), n)
+        return ({out: ctx, out_n: pa.array(win_len)},
+                (seg_ids == 0) & (win_len < k), cidx,
+                {out: pc.cast(vals.take(pa.array(cidx)), pa.string())})
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        cnt = _np(kept[out_n]).copy()
+        rows, texts = [], []
+        for r, pos, vv in groups:
+            for i, p in zip(r, pos):
+                take = min(k - int(cnt[i]), int(p))
+                if take <= 0:
+                    continue
+                own = kept[out][int(i)].as_py()
+                rows.append(int(i))
+                texts.append(sep.join(
+                    vv[p - take:p] + ([own] if own is not None else [])))
+                cnt[i] += take
+        if not rows:
+            return kept
+        kept = _replace_rows(kept, out, rows, pa.array(texts, pa.string()))
+        return kept.set_column(kept.column_names.index(out_n), out_n,
+                               pa.array(cnt))
 
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, keys).to_pylist()
-        # anchors stay in their EXACT dtype (int64 for
-        # integer/temporal order columns) — no float() round-trip
-        tsv = kept["__aa"].to_pylist()
-        tbv = kept["__ab"].to_pylist()
-        vals = kept[out].to_pylist()
-        for kval, t, tb, v in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((t, tb, v))
-
-    hist = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        hist[kval] = (
-            np.asarray([s[0] for s in segs]),
-            np.asarray([s[1] for s in segs]),
-            [s[2] for s in segs])
-
-    import ray
-
-    handle = ray.put(hist)
-
-    aux = ["__rt", "__aa", "__ab"]
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(aux)
-        offs = ray.get(handle)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        if not len(pend):
-            return kept.drop_columns(aux)
-        kk = _group_key_expr(kept, keys).to_numpy(zero_copy_only=False)
-        # a pending row's out-of-block predecessors are the carries
-        # strictly before its EARLIEST in-block window row — the
-        # row's own __aa/__ab anchor, stamped by the scan, so no
-        # batch-relative index arithmetic survives Ray re-batching
-        aav = kept["__aa"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        abv = kept["__ab"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        ctx = kept[out]
-        if isinstance(ctx, pa.ChunkedArray):
-            ctx = ctx.combine_chunks()
-        cnt = kept[out_n].combine_chunks() \
-            .to_numpy(zero_copy_only=False).copy()
-        new_ctx = ctx.to_pylist()
-        changed = False
-        for i in pend:
-            kval = kk[i]
-            if kval not in offs:
-                continue
-            la, lb, vv = offs[kval]
-            pos = int(_boundaries_before(
-                la, lb, np.array([aav[i]]), np.array([abv[i]]))[0])
-            need = k - int(cnt[i])
-            take = min(need, pos)
-            if take <= 0:
-                continue
-            pieces = vv[pos - take:pos]
-            tail = new_ctx[i]
-            new_ctx[i] = sep.join(
-                pieces + ([tail] if tail is not None else []))
-            cnt[i] += take
-            changed = True
-        if not changed:
-            return kept.drop_columns(aux)
-        oi = kept.column_names.index(out)
-        kept = kept.set_column(oi, out, pa.array(new_ctx, pa.string()))
-        ni = kept.column_names.index(out_n)
-        kept = kept.set_column(ni, out_n, pa.array(cnt))
-        return kept.drop_columns(aux)
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(ds, keys, ts, tiebreak, "trailing_concat", scan,
+                         resolve, lambda t: t[out].to_pylist())
 
 
 def cap_per_group(ds, keys: List[str], id_column: str, k: int,
@@ -2426,134 +2120,36 @@ def grouped_forward_fill(ds, key, ts: str, value: str, tiebreak: str,
     states fill as naturally as numerics). Rows before a key's first
     non-null stay NULL.
 
-    Shape: one null-safe sort, then a per-block vectorized fill —
+    Shape: :func:`_sorted_carry` with a per-block vectorized fill —
     ONE global max-accumulate of last-valid indices, with a
     segment-start comparison masking cross-key leakage (no per-
-    segment Python) — plus <= 2 carry rows per block (the LAST
-    non-null of its first and last key segments). Only rows before
-    their block's first in-segment non-null are pending; they all
-    share the block's first key and fill from the latest earlier
-    carry in one broadcast lookup. Driver state is O(n_blocks).
-    ``(ts, tiebreak)`` must be unique per key, numeric/temporal only
-    (the :func:`cumulative_sum` contract)."""
-    from .relational import null_safe_sort
-
+    segment Python) — and <= 1 carry row per block, the LAST non-null
+    of its last key segment. Only first-segment rows before the
+    block's first in-segment non-null are pending; they fill from
+    their key's latest carry before the block. Driver state is
+    O(n_blocks). ``(ts, tiebreak)`` must be unique per key,
+    numeric/temporal only (the :func:`cumulative_sum` contract)."""
     keys = [key] if isinstance(key, str) else list(key)
-    sorted_ds = null_safe_sort(ds, keys, [ts, tiebreak])
 
-    def scan(batch: pa.Table) -> pa.Table:
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"grouped_forward_fill: order column {c!r} is a"
-                    " string; only numeric/temporal order columns"
-                    " carry across block boundaries")
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
         varr = batch[value]
         if isinstance(varr, pa.ChunkedArray):
             varr = varr.combine_chunks()
-        if n == 0:
-            return batch.append_column(out, pa.nulls(0, varr.type)) \
-                .append_column("__rt", pa.array([], pa.int8()))
-        kk = _group_key_expr(batch, keys).to_numpy(zero_copy_only=False)
         valid = pc.is_valid(varr).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        seg_ids = np.cumsum(newseg) - 1
-        starts = np.nonzero(newseg)[0]
-        idx = np.arange(n)
-        li = np.maximum.accumulate(np.where(valid, idx, -1))
+        li = np.maximum.accumulate(np.where(valid, np.arange(n), -1))
         ok = li >= starts[seg_ids]
         filled = pc.if_else(
             pa.array(ok), varr.take(pa.array(np.maximum(li, 0))),
             pa.scalar(None, varr.type))
-        rt = np.zeros(n, np.int8)
-        # pending: first-segment rows with no in-block fill source
-        rt[(kk == kk[0]) & ~ok] = 1
-        out_t = batch.append_column(out, filled) \
-            .append_column("__rt", pa.array(rt))
-        # carries: the LAST non-null row of the first and last
-        # segments (their `out` already holds that value)
-        first_end = int(starts[1]) - 1 if len(starts) > 1 else n - 1
-        cidx = []
-        for end in {first_end, n - 1}:
-            seg_start = int(starts[seg_ids[end]])
-            seg_valid = np.nonzero(valid[seg_start:end + 1])[0]
-            if len(seg_valid):
-                cidx.append(seg_start + int(seg_valid[-1]))
-        if not cidx:
-            return out_t
-        sel = pa.array(sorted(set(cidx)), pa.int64())
-        ctab = batch.take(sel) \
-            .append_column(out, varr.take(sel)) \
-            .append_column("__rt", pa.array(
-                np.full(len(sel), 2, np.int8)))
-        return pa.concat_tables([out_t, ctab])
+        cidx = [li[-1]] if li[-1] >= starts[-1] else []
+        return {out: filled}, (seg_ids == 0) & ~ok, cidx, \
+            {out: varr.take(pa.array(cidx, pa.int64()))}
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    carry: dict = {}
-    for kept in scanned.map_batches(
-            lambda t: t.filter(pc.equal(t["__rt"], 2)),
-            batch_format="pyarrow", zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = _group_key_expr(kept, keys).to_pylist()
-        tsv = _order_np(kept, ts, descending=False)
-        tbv = _order_np(kept, tiebreak, descending=False)
-        vals = kept[out].to_pylist()
-        for kval, t, tb, vv in zip(kk, tsv, tbv, vals):
-            carry.setdefault(kval, []).append((float(t), float(tb), vv))
-
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        offsets[kval] = (
-            np.array([s[0] for s in segs], dtype=np.float64),
-            np.array([s[1] for s in segs], dtype=np.float64),
-            [s[2] for s in segs])
-
-    import ray
-
-    handle = ray.put(offsets)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt"])
-        offs = ray.get(handle)
-        rt = kept["__rt"].combine_chunks().to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        varr = kept[out]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
-        if len(pend):
-            kk = _group_key_expr(kept, keys) \
-                .to_numpy(zero_copy_only=False)
-            tsv = _order_np(kept, ts, descending=False)
-            tbv = _order_np(kept, tiebreak, descending=False)
-            kval = kk[pend[0]]  # pending rows share the block's
-            # first key; all precede its first in-block non-null
-            if kval in offs:
-                la, lb, vv = offs[kval]
-                # the latest carry strictly before EACH pending row
-                pos = _boundaries_before(la, lb, tsv[pend],
-                                         tbv[pend])
-                fill_i = [int(i) for i, p in zip(pend, pos) if p > 0]
-                fill_v = [vv[int(p) - 1] for p in pos if p > 0]
-                if fill_i:
-                    mask = np.zeros(n, bool)
-                    mask[fill_i] = True
-                    varr = pc.replace_with_mask(
-                        varr, pa.array(mask),
-                        pa.array(fill_v, varr.type))
-        i = kept.column_names.index(out)
-        return kept.set_column(i, out, varr).drop_columns(["__rt"])
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return _sorted_carry(
+        ds, keys, ts, tiebreak, "grouped_forward_fill", scan,
+        lambda kept, groups: _fill_from_carries(kept, groups, out, False),
+        lambda t: t[out].to_pylist())
 
 
 def grouped_linear_interpolate(ds, key, ts: str, value: str,
@@ -2676,7 +2272,7 @@ def grouped_weighted_quantiles(ds, key: str, value: str, weight: str,
 
     Shape: ONE null-safe sort by (key, value, tiebreak) drives the
     multi-column running-sum machinery (:func:`_running_sums` — a
-    hot key costs two carry rows per block); group totals are
+    hot key costs one carry row per block); group totals are
     group-sized and broadcast once (``pc.index_in`` — exact, no hash
     routing). Rows qualifying for ANY fraction filter statelessly
     (each fraction contributes a null-masked copy of ``value``) and

@@ -3146,6 +3146,39 @@ def test_grouped_quantiles_cont_hot_key_spans_blocks():
     assert got == {0.5: 1 + (n - 1) * 0.5, 0.99: 1 + (n - 1) * 0.99}
 
 
+def test_grouped_quantiles_cont_single_rank_over_blocks():
+    """q = 0.5 over odd-sized groups selects ONE rank per group, so
+    after the multi-block merge whole output blocks hold no upper
+    value (their __vhi arrives typed null) — it must still
+    interpolate like DuckDB's quantile_cont."""
+    import duckdb
+
+    from json_schema_ray.engine.rank import grouped_quantiles_cont
+
+    rng = np.random.default_rng(36)
+    g = rng.permutation(np.repeat([0, 1, 2], [101, 99, 97]))
+    n = len(g)
+    t = pa.table({
+        "g": pa.array(g, pa.int64()),
+        "x": pa.array(rng.normal(100, 20, n).round(3), pa.float64()),
+        "rid": pa.array(np.arange(n), pa.int64()),
+    })
+    want = sorted((g, q, round(v, 8)) for g, q, v in duckdb.sql("""
+        SELECT g, 0.5::DOUBLE, quantile_cont(x, 0.5) FROM t GROUP BY g
+        UNION ALL SELECT g, 0.3, quantile_cont(x, 0.3) FROM t GROUP BY g
+        """).fetchall())
+    for blocks in (1, 6):
+        ds = _ray().data.from_arrow(t).repartition(blocks)
+        got = sorted((r["g"], r["q"], round(r["value"], 8)) for r in
+                     grouped_quantiles_cont(ds, "g", "x", (0.5, 0.3),
+                                            tiebreak="rid").take_all())
+        assert got == want, blocks
+        got = sorted((r["g"], r["q"], round(r["value"], 8)) for r in
+                     grouped_quantiles_cont(ds, "g", "x", (0.5,),
+                                            tiebreak="rid").take_all())
+        assert got == [w for w in want if w[1] == 0.5], blocks
+
+
 def test_stratified_sample_matches_sql_splitmix():
     import duckdb
 
@@ -4660,19 +4693,29 @@ def test_range_windowed_sum_time_units(unit, per_s):
     assert _range_rows(out) == _range_oracle(t, win)
 
 
-def _ns_order_table(seed):
+def _ns_order_table(seed, n=400, nulls=False):
     """timestamp[ns] order column at a 2023 epoch, with ties broken
     by an int64 tiebreak above 2^53 whose neighbours share a float64
-    value."""
+    value. ``tu`` is a unique timestamp[ns] column 1 ns apart and
+    ``s`` a string column. With ``nulls``, 30% of ``v`` and ``s`` and
+    5% of ``ts`` are NULL."""
     rng = np.random.default_rng(seed)
-    n = 400
     base = 1_700_000_000_000_000_000
     tsv = base + rng.integers(0, 40, n) * 1_000 + rng.integers(0, 3, n)
+    k = rng.integers(0, 3, n)
+    tb = (1 << 60) + rng.permutation(n)
+    v = rng.integers(-50, 50, n).astype(float)
+    miss = rng.random(n) < (0.3 if nulls else 0.0)
+    ts_miss = rng.random(n) < (0.05 if nulls else 0.0)
     return pa.table({
-        "k": pa.array(rng.integers(0, 3, n), pa.int64()),
-        "ts": pa.array(tsv, pa.int64()).cast(pa.timestamp("ns")),
-        "tb": pa.array((1 << 60) + rng.permutation(n), pa.int64()),
-        "v": pa.array(rng.integers(-50, 50, n).astype(float)),
+        "k": pa.array(k, pa.int64()),
+        "ts": pa.array(tsv, pa.int64(), mask=ts_miss)
+        .cast(pa.timestamp("ns")),
+        "tb": pa.array(tb, pa.int64()),
+        "v": pa.array(v, mask=miss),
+        "tu": pa.array(base + rng.permutation(n), pa.int64())
+        .cast(pa.timestamp("ns")),
+        "s": pa.array([f"s{int(x)}" for x in v], pa.string(), mask=miss),
     })
 
 
@@ -4719,6 +4762,120 @@ def test_cumulative_sum_ns_order_above_2_53():
     # (ts, tb) is unique, so the default frame is the running total
     want = _duckdb_by_tiebreak(t, "sum(v)")
     assert _by_tiebreak(out, "running_sum") == want
+
+
+def _rows_of(*cols):
+    def rows(ds):
+        return [tuple(r[c] for c in cols) for r in ds.take_all()]
+    return rows
+
+
+_W3 = ("(PARTITION BY k ORDER BY ts, tb"
+       " ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
+_RUN = "(PARTITION BY k ORDER BY ts, tb ROWS UNBOUNDED PRECEDING)"
+_QS = (0.25, 0.5, 0.9)
+
+# name -> (operator call, its output as tuples, the DuckDB twin)
+_NS_CASES = {
+    "windowed_sum": (
+        lambda r, ds: r.windowed_sum(ds, "k", "ts", "v", "tb", 3),
+        _rows_of("tb", "win_sum", "win_cnt"),
+        f"SELECT tb, sum(v) OVER {_W3}, count(v) OVER {_W3} FROM t"),
+    "windowed_median": (
+        lambda r, ds: r.windowed_median(ds, "k", "ts", "v", "tb", 3),
+        _rows_of("tb", "med2", "win_cnt"),
+        f"SELECT tb, CAST(2 * median(v) OVER {_W3} AS BIGINT),"
+        f" count(v) OVER {_W3} FROM t"),
+    "windowed_extrema": (
+        lambda r, ds: r.windowed_extrema(ds, "k", "ts", "v", "tb", 3),
+        _rows_of("tb", "win_min", "win_max"),
+        f"SELECT tb, CAST(min(v) OVER {_W3} AS BIGINT),"
+        f" CAST(max(v) OVER {_W3} AS BIGINT) FROM t"),
+    "windowed_distinct_count": (
+        lambda r, ds: r.windowed_distinct_count(ds, "k", "ts", "v", "tb",
+                                                3),
+        _rows_of("tb", "win_distinct"),
+        # the operator emits NULL, not 0, on an empty frame
+        f"SELECT tb, CASE WHEN count(v) OVER {_W3} > 0"
+        f" THEN count(DISTINCT v) OVER {_W3} END FROM t"),
+    "grouped_forward_fill": (
+        lambda r, ds: r.grouped_forward_fill(ds, "k", "ts", "v", "tb"),
+        _rows_of("tb", "filled"),
+        f"SELECT tb, last_value(v IGNORE NULLS) OVER {_RUN} FROM t"),
+    "cumulative_max": (
+        lambda r, ds: r.cumulative_max(ds, "k", "ts", "v", "tb"),
+        _rows_of("tb", "running_max"),
+        f"SELECT tb, max(v) OVER {_RUN} FROM t"),
+    "lead_column": (
+        lambda r, ds: r.lead_column(ds, "k", "ts", "v", "tb"),
+        _rows_of("tb", "lead_value"),
+        "SELECT tb, lead(v) OVER (PARTITION BY k ORDER BY ts, tb)"
+        " FROM t"),
+    "trailing_concat": (
+        lambda r, ds: r.trailing_concat(ds, "k", "ts", "s", "tb", 3,
+                                        sep="|"),
+        _rows_of("tb", "ctx", "n_ctx"),
+        "SELECT tb, string_agg(coalesce(s, ''), '|') OVER w,"
+        " count(*) OVER w FROM t WINDOW w AS (PARTITION BY k"
+        " ORDER BY ts, tb ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING)"),
+    "grouped_top_k_asc": (
+        lambda r, ds: r.grouped_top_k(ds, ["k"], "ts", 5,
+                                      descending=False, tiebreak="tb"),
+        _rows_of("tb", "rn"),
+        "SELECT * FROM (SELECT tb, row_number() OVER (PARTITION BY k"
+        " ORDER BY ts ASC NULLS LAST, tb) AS rn FROM t) WHERE rn <= 5"),
+    "grouped_top_k_desc": (
+        lambda r, ds: r.grouped_top_k(ds, ["k"], "ts", 5,
+                                      descending=True, tiebreak="tb"),
+        _rows_of("tb", "rn"),
+        "SELECT * FROM (SELECT tb, row_number() OVER (PARTITION BY k"
+        " ORDER BY ts DESC NULLS LAST, tb) AS rn FROM t) WHERE rn <= 5"),
+    "grouped_exact_quantiles": (
+        lambda r, ds: r.grouped_exact_quantiles(ds, "k", "v", _QS, "tb"),
+        _rows_of("k", "q", "value"),
+        " UNION ALL ".join(
+            f"SELECT k, {q}::DOUBLE, quantile_disc(v, {q}) FROM t"
+            " WHERE v IS NOT NULL GROUP BY k" for q in _QS)),
+    "grouped_quantiles_cont": (
+        lambda r, ds: r.grouped_quantiles_cont(ds, "k", "v", _QS, "tb"),
+        _rows_of("k", "q", "value"),
+        " UNION ALL ".join(
+            f"SELECT k, {q}::DOUBLE, quantile_cont(v, {q}) FROM t"
+            " WHERE v IS NOT NULL GROUP BY k" for q in _QS)),
+    "grouped_string_agg": (
+        lambda r, ds: r.grouped_string_agg(ds, "k", "tu", "s"),
+        _rows_of("k", "agg"),
+        "SELECT k, string_agg(s, ',' ORDER BY tu) FROM t"
+        " WHERE s IS NOT NULL GROUP BY k"),
+}
+
+
+@pytest.mark.parametrize("n,blocks", [(400, 1), (400, 6), (400, 40),
+                                      (12, 40)],
+                         ids=["400x1", "400x6", "400x40", "12x40"])
+@pytest.mark.parametrize("case", sorted(_NS_CASES))
+def test_sorted_ops_ns_order_above_2_53(case, n, blocks):
+    """Every sorted-scan operator over a timestamp[ns] order column
+    at a 1.7e18 epoch, an int64 tiebreak at 2^60 (neighbours share a
+    float64), NULL values and NULL order values, against its DuckDB
+    twin. Positions stay exact int64 (float64 raised ArrowInvalid or
+    merged neighbours). 12 rows in 40 blocks leaves empty blocks,
+    some without columns."""
+    import duckdb
+
+    import json_schema_ray.engine.rank as rank
+
+    run, rows, sql = _NS_CASES[case]
+    t = _ns_order_table(97, n=n, nulls=True)
+    con = duckdb.connect()
+    con.register("t", t)
+    out = run(rank, _ray().data.from_arrow(t).repartition(blocks))
+
+    def norm(tuples):
+        return sorted((tuple(round(x, 8) if isinstance(x, float) else x
+                             for x in r) for r in tuples), key=repr)
+
+    assert norm(rows(out)) == norm(con.execute(sql).fetchall())
 
 
 def test_lm_quality_buckets_approx_close_to_exact():

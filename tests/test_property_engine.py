@@ -368,14 +368,20 @@ def test_grouped_string_agg_property(sch):
 
 
 @settings(max_examples=_n(12), deadline=None)
-@given(sch=schedule)
-def test_lag_and_cumsum_property(sch):
-    """lag_column + cumulative_sum vs their DuckDB windows on one
-    drawn schedule (shared sort contract: unique (ts, tiebreak) per
-    key, NULL values pass through lag / don't contribute to sum)."""
+@given(sch=schedule, off=st.sampled_from([0, 2**53 + 1, 2**60]),
+       w=st.integers(1, 5))
+def test_lag_and_cumsum_property(sch, off, w):
+    """lag_column, cumulative_sum, windowed_sum and
+    grouped_forward_fill vs their DuckDB windows on one drawn
+    schedule (shared sort contract: unique (ts, tiebreak) per key,
+    NULL values pass through lag / don't contribute to sums / are
+    skipped by the fill). ``ts`` and ``rid`` are shifted by a drawn
+    int64 offset, up to 2^60, where float64 merges neighbours."""
     import duckdb
 
-    from json_schema_ray.engine.rank import cumulative_sum, lag_column
+    from json_schema_ray.engine.rank import (cumulative_sum,
+                                             grouped_forward_fill,
+                                             lag_column, windowed_sum)
 
     rng = np.random.default_rng(sch["seed"])
     n = sch["n"]
@@ -384,29 +390,33 @@ def test_lag_and_cumsum_property(sch):
     vals[rng.random(n) < sch["null_rate"]] = None
     t = pa.table({
         "u": pa.array(keys.tolist(), pa.int64()),
-        "ts": pa.array(rng.permutation(n), pa.int64()),
-        "rid": pa.array(np.arange(n), pa.int64()),
+        "ts": pa.array(off + rng.permutation(n), pa.int64()),
+        "rid": pa.array(off + np.arange(n), pa.int64()),
         "v": pa.array(vals.tolist(), pa.int64())})
-    want_lag = {r[0]: r[1] for r in duckdb.sql(
-        """SELECT rid, lag(v) OVER (PARTITION BY u
-               ORDER BY ts, rid) FROM t""").fetchall()}
-    lagged = lag_column(
-        _ray().data.from_arrow(t).repartition(sch["blocks"]),
-        "u", "ts", "v", "rid", out="lv")
-    got_lag = {r["rid"]: r["lv"] for r in lagged.take_all()}
-    assert got_lag == want_lag
 
-    want_cs = {r[0]: r[1] for r in duckdb.sql(
-        """SELECT rid, sum(v) OVER (PARTITION BY u ORDER BY ts, rid
-               ROWS UNBOUNDED PRECEDING) FROM t""").fetchall()}
-    cs = cumulative_sum(
-        _ray().data.from_arrow(t).repartition(sch["blocks"]),
-        "u", "ts", "v", "rid")
-    got_cs = {r["rid"]: (None if r["running_sum"] is None
-                         else int(r["running_sum"]))
-              for r in cs.take_all()}
-    assert got_cs == {k: (None if v is None else int(v))
-                      for k, v in want_cs.items()}
+    def ds():
+        return _ray().data.from_arrow(t).repartition(sch["blocks"])
+
+    def twin(expr, frame=""):
+        return {r[0]: r[1] for r in duckdb.sql(
+            f"""SELECT rid, {expr} OVER (PARTITION BY u
+                   ORDER BY ts, rid {frame}) FROM t""").fetchall()}
+
+    def got(out, col, conv=lambda x: x):
+        return {r["rid"]: None if r[col] is None else conv(r[col])
+                for r in out.take_all()}
+
+    assert got(lag_column(ds(), "u", "ts", "v", "rid", out="lv"),
+               "lv") == twin("lag(v)")
+    assert got(cumulative_sum(ds(), "u", "ts", "v", "rid"),
+               "running_sum", int) == twin(
+        "sum(v)", "ROWS UNBOUNDED PRECEDING")
+    assert got(windowed_sum(ds(), "u", "ts", "v", "rid", w), "win_sum",
+               int) == twin(
+        "sum(v)", f"ROWS BETWEEN {w - 1} PRECEDING AND CURRENT ROW")
+    assert got(grouped_forward_fill(ds(), "u", "ts", "v", "rid"),
+               "filled") == twin(
+        "last_value(v IGNORE NULLS)", "ROWS UNBOUNDED PRECEDING")
 
 
 @settings(max_examples=_n(10), deadline=None)
