@@ -308,14 +308,3 @@ def y4m_luma_frames(payload: bytes, every_n: int) -> list:
     luma-plane bytes per kept frame."""
     frames = decode_y4m(payload)
     return [f.tobytes() for f in frames[::every_n]]
-
-
-def image_features_for_mime(payload: bytes, dim: int = 16,
-                            mime: str = "image/png") -> np.ndarray:
-    """Mime dispatcher: PNG decodes for real; formats that need an
-    external codec (JPEG/WebP/...) keep the declared stub boundary."""
-    if mime == "image/png" or payload[:8] == _PNG_SIG:
-        return png_image_features(payload, dim)
-    raise NotImplementedError(
-        f"no stdlib codec for {mime}; PNG is the in-sandbox real "
-        "path — plug a PIL decode_fn for other formats")

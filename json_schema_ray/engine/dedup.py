@@ -1165,20 +1165,6 @@ def _simhash_explode(id_column: str, n_bands: int = 4):
     return explode
 
 
-def simhash_candidates(ds, id_column: str, text_column: str = "text",
-                       max_bucket: Optional[int] = None,
-                       n_bands: int = 4):
-    """Near-dup candidates: equal signature bands bucket docs (any
-    pair within hamming distance ``n_bands - 1`` shares a band —
-    exact recall for that radius), then the same distributed
-    sort-based pipeline as MinHash generates and deduplicates
-    pairs."""
-    sigs = simhash_signatures(ds, id_column, text_column)
-    exploded = sigs.map_batches(_simhash_explode(id_column, n_bands),
-                                batch_format="pyarrow")
-    return _bucket_candidate_pairs(exploded, id_column, max_bucket)
-
-
 def simhash_near_dup_pairs(ds, id_column: str, text_column: str = "text",
                            max_hamming: int = 3,
                            max_bucket: Optional[int] = None) -> pa.Table:

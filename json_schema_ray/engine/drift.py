@@ -26,34 +26,62 @@ def categorical_histogram(ds, column: str) -> Dict[str, int]:
     groupby cannot order against strings, count as ``"None"``."""
 
     def pre_agg(batch: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(batch.select([column]), [column])
-        t = g.aggregate([([], "count_all")])
-        return t.rename_columns([column, "cnt"])
+        counts = _category_counts(batch[column])
+        return pa.table({"v": pa.array(list(counts), pa.string()),
+                         "cnt": pa.array(list(counts.values()),
+                                         pa.int64())})
 
     partial = ds.map_batches(pre_agg, batch_format="pyarrow",
                              zero_copy_batch=True)
     out: Dict[str, int] = {}
-    # block by block: an all-null block's key column is typed null
-    for batch in partial.iter_batches(batch_format="pyarrow",
-                                      batch_size=None):
-        for v, c in zip(batch[column].to_pylist(), batch["cnt"].to_pylist()):
-            out[str(v)] = out.get(str(v), 0) + int(c)
+    for batch in partial.iter_batches(batch_format="pyarrow"):
+        for v, c in zip(batch["v"].to_pylist(), batch["cnt"].to_pylist()):
+            out[v] = out.get(v, 0) + c
     return out
+
+
+def _category_counts(col) -> Dict[str, int]:
+    """str(value) -> count of one column of one batch, null as
+    ``"None"``: the per-block partial of :func:`categorical_histogram`."""
+    t = pa.TableGroupBy(pa.table({"v": col}), ["v"]) \
+        .aggregate([([], "count_all")])
+    return {str(v): int(c) for v, c in zip(t["v"].to_pylist(),
+                                           t["count_all"].to_pylist())}
+
+
+def _lengths(col) -> pa.Array:
+    """utf8 lengths of a string column, the values of any other."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return pc.utf8_length(col)
+    return col
+
+
+def _length_counts(col) -> Dict[int, int]:
+    """Exact length (or integer value) -> count of one column of one
+    batch, nulls dropped: the per-block partial of
+    :func:`length_histogram`."""
+    v = pc.cast(_lengths(col), pa.int64()).drop_null()
+    vals, cnts = np.unique(v.to_numpy(zero_copy_only=False),
+                           return_counts=True)
+    return dict(zip(vals.tolist(), cnts.tolist()))
+
+
+def _column_digest(col, compression: int = 100) -> TDigest:
+    """t-digest of one column's lengths (or numeric values) in one
+    batch: the per-block partial of :func:`length_digest`."""
+    vals = _lengths(col).to_numpy(zero_copy_only=False).astype(np.float64)
+    td = TDigest(compression)
+    td.add(vals)
+    return td
 
 
 def length_digest(ds, column: str, compression: int = 100) -> TDigest:
     """Merged t-digest of utf8 lengths (or numeric values) of a column."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        col = batch[column]
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            vals = pc.utf8_length(col).combine_chunks() \
-                .to_numpy(zero_copy_only=False).astype(np.float64)
-        else:
-            vals = col.combine_chunks().to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-        td = TDigest(compression)
-        td.add(vals)
+        td = _column_digest(batch[column], compression)
         return pa.table({"blob": pa.array([td.serialize()], pa.binary())})
 
     merged: Optional[TDigest] = None
@@ -77,13 +105,7 @@ def length_histogram(ds, column: str) -> Dict[int, int]:
     (:func:`ks_exact_e6`) a SQL oracle can reproduce bit-for-bit."""
 
     def pre_agg(batch: pa.Table) -> pa.Table:
-        col = batch[column]
-        if pa.types.is_string(col.type) or \
-                pa.types.is_large_string(col.type):
-            v = pc.utf8_length(col)
-        else:
-            v = col
-        v = pc.cast(v, pa.int64())
+        v = pc.cast(_lengths(batch[column]), pa.int64())
         t = pa.table({"v": v}).filter(pc.is_valid(v))
         g = pa.TableGroupBy(t, ["v"]).aggregate([([], "count_all")])
         return g.rename_columns(["v", "cnt"])
@@ -196,20 +218,48 @@ class ReferenceProfile:
         """Drift report vs a new dataset: PSI per categorical column,
         KS per numeric/text column (t-digest approximate for digest
         columns, exact for length-histogram columns)."""
+        return self.report(ReferenceProfile.build(
+            ds, list(self.histograms), list(self.digests),
+            list(self.length_hists)))
+
+    def report(self, actual: "ReferenceProfile") -> pa.Table:
+        """The :meth:`compare` report against ``actual``, a profile of
+        the new data over the same columns."""
         rows = []
         for col, hist in self.histograms.items():
-            actual = categorical_histogram(ds, col)
             rows.append({"column": col, "metric": "psi",
-                         "value": psi(hist, actual)})
+                         "value": psi(hist, actual.histograms[col])})
         for col, digest in self.digests.items():
-            actual = length_digest(ds, col)
             rows.append({"column": col, "metric": "ks",
-                         "value": ks_statistic(digest, actual)})
+                         "value": ks_statistic(digest,
+                                               actual.digests[col])})
         for col, hist in self.length_hists.items():
-            actual = length_histogram(ds, col)
             rows.append({"column": col, "metric": "ks",
-                         "value": ks_exact_e6(hist, actual) / 1e6})
+                         "value": ks_exact_e6(
+                             hist, actual.length_hists[col]) / 1e6})
         return pa.Table.from_pylist(rows)
+
+    def profile_batch(self, batch: pa.Table) -> "ReferenceProfile":
+        """A profile of one batch over this profile's columns;
+        :meth:`merge` folds such profiles across batches."""
+        return ReferenceProfile(
+            {c: _category_counts(batch[c]) for c in self.histograms},
+            {c: _column_digest(batch[c]) for c in self.digests},
+            {c: _length_counts(batch[c]) for c in self.length_hists})
+
+    def merge(self, other: "ReferenceProfile") -> "ReferenceProfile":
+        def add(x, y):
+            out = dict(x)
+            for k, v in y.items():
+                out[k] = out.get(k, 0) + v
+            return out
+
+        return ReferenceProfile(
+            {c: add(h, other.histograms[c])
+             for c, h in self.histograms.items()},
+            {c: d.merge(other.digests[c]) for c, d in self.digests.items()},
+            {c: add(h, other.length_hists[c])
+             for c, h in self.length_hists.items()})
 
     def to_json(self) -> str:
         return json.dumps({

@@ -13,6 +13,8 @@ Scale shape (SURVEY.md §2.4):
   dimension-sized right side.
 - turn ordering: a genuinely per-group check ->
   ``groupby(conv_id).map_groups`` with an in-group sort.
+- the validation job's key pass (:func:`key_checks`): duplicate keys
+  and turn ordering from ONE key-only sort and one scan.
 """
 
 from __future__ import annotations
@@ -356,93 +358,115 @@ def turn_ordering_violations(ds, group_key: str = "conv_id",
     surface as turn_gap/start anomalies; use the default sorted path
     when the layout is untrusted.
     """
-    cols = [group_key, order_key] + (
-        [ts_key] if ts_key and ts_key in ds.schema().names else [])
-    has_ts = len(cols) == 3
-    proj = ds.select_columns(cols)
+    import ray
+
+    rows, _ = _key_scan(ds, group_key, order_key, ts_key, presorted)
+    return ray.data.from_arrow(pa.table({
+        group_key: pa.array([r[0] for r in rows], pa.string()),
+        "error_type": pa.array([r[1] for r in rows], pa.string()),
+        "message": pa.array([r[2] for r in rows], pa.string()),
+    }))
+
+
+def _key_runs(batch: pa.Table, group_key: str, order_key: str):
+    """Runs of equal ``(group, order)`` keys in a key-sorted batch,
+    nulls equal to nulls as in SQL ``GROUP BY``. Returns the number of
+    interior runs longer than one row (final: equal keys are
+    contiguous in the sorted stream) and ``((group, order), rows)`` of
+    the first and last run, which may continue in a neighbouring
+    block."""
+    n = batch.num_rows
+    enc = pc.dictionary_encode(batch[group_key].combine_chunks())
+    codes = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
+    turn = pc.cast(batch[order_key], pa.int64()).combine_chunks()
+    null = pc.is_null(turn).to_numpy(zero_copy_only=False)
+    turn = pc.fill_null(turn, 0).to_numpy(zero_copy_only=False)
+    change = np.nonzero((codes[1:] != codes[:-1]) | (turn[1:] != turn[:-1])
+                        | (null[1:] != null[:-1]))[0] + 1
+    starts = np.concatenate([[0], change])
+    cnt = np.diff(np.concatenate([starts, [n]]))
+
+    def key(i):
+        s = starts[i]
+        return (None if codes[s] == -1 else enc.dictionary[codes[s]].as_py(),
+                None if null[s] else int(turn[s]))
+
+    edges = [(key(0), int(cnt[0]))]
+    if len(starts) > 1:
+        edges.append((key(len(starts) - 1), int(cnt[-1])))
+    return int((cnt[1:-1] > 1).sum()), edges
+
+
+def _key_scan(ds, group_key: str, order_key: str, ts_key: Optional[str],
+              presorted: bool = False):
+    """ONE null-safe sort of the key columns ordered by ``(order, ts)``
+    (skipped when ``presorted``), one scan whose blocks emit the
+    ordering partials (``ordering_batch_parts``) and the key-run
+    counts with their block-edge runs, and one driver fold of those
+    O(blocks) partials. Returns the ordering violation rows
+    ``(gid, type, message)``, sorted, and the number of distinct
+    ``(group, order)`` keys that occur more than once."""
+    import pickle
+
+    has_ts = bool(ts_key) and ts_key in ds.schema().names
+    tail = [order_key] + ([ts_key] if has_ts else [])
+    proj = ds.select_columns([group_key] + tail)
     # ts joins the sort keys so equal-turn rows order by ts — the
     # exact semantics the boundary merge and the reference check use
-    sorted_ds = proj if presorted else \
-        null_safe_sort(proj, [group_key],
-                       [order_key] + ([ts_key] if has_ts else []))
+    srt = proj if presorted else null_safe_sort(proj, [group_key], tail)
 
-    # per-batch output row kinds: 0 = final violation, 1 = edge
-    # stitch violation (needs driver dedupe), 2 = edge partial
-    # (fixed-size (first/last turn, first/last ts) — at most 2/batch)
-    def check_batch(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        empty = {
-            group_key: pa.array([], pa.string()),
-            "error_type": pa.array([], pa.string()),
-            "message": pa.array([], pa.string()),
-            "_kind": pa.array([], pa.int8()),
-            "_ft": pa.array([], pa.int64()),
-            "_lt": pa.array([], pa.int64()),
-            "_fts": pa.array([], pa.int64()),
-            "_lts": pa.array([], pa.int64()),
-        }
-        if n == 0:
-            return pa.table(empty)
-        rows, stitch_rows, partials = ordering_batch_parts(
-            batch, group_key, order_key, ts_key if has_ts else None)
-        gids = [r[0] for r in rows] + [r[0] for r in stitch_rows] \
-            + [p[0] for p in partials]
-        n_r, n_s, n_p = len(rows), len(stitch_rows), len(partials)
-        zeros = [0] * (n_r + n_s)
-        return pa.table({
-            group_key: pa.array(gids, pa.string()),
-            "error_type": pa.array(
-                [r[1] for r in rows] + [r[1] for r in stitch_rows]
-                + [""] * n_p, pa.string()),
-            "message": pa.array(
-                [r[2] for r in rows] + [r[2] for r in stitch_rows]
-                + [""] * n_p, pa.string()),
-            "_kind": pa.array([0] * n_r + [1] * n_s + [2] * n_p,
-                              pa.int8()),
-            "_ft": pa.array(zeros + [p[1] for p in partials],
-                            pa.int64()),
-            "_lt": pa.array(zeros + [p[2] for p in partials],
-                            pa.int64()),
-            "_fts": pa.array(zeros + [p[3] for p in partials],
-                             pa.int64()),
-            "_lts": pa.array(zeros + [p[4] for p in partials],
-                             pa.int64()),
-        })
-
-    out = sorted_ds.map_batches(check_batch, batch_format="pyarrow",
-                                zero_copy_batch=True)
+    def scan(batch: pa.Table) -> pa.Table:
+        # null_safe_sort can hand out empty blocks without columns
+        if batch.num_rows == 0:
+            return pa.table({"part": pa.array([], pa.binary())})
+        part = ordering_batch_parts(batch, group_key, order_key,
+                                    ts_key if has_ts else None)
+        part += _key_runs(batch, group_key, order_key)
+        return pa.table({"part": [pickle.dumps(part)]})
 
     # interior violations collect directly (violation-sized); edge
     # conversations merge from O(batches) fixed-size partials plus
     # their own violation rows — never their raw timelines
     rows: list = []
     edge: dict = {}
-    for batch in out.iter_batches(batch_format="pyarrow"):
-        kind = batch["_kind"].to_numpy(zero_copy_only=False)
-        for i in np.nonzero(kind == 0)[0]:
-            rows.append((batch[group_key][i].as_py(),
-                         batch["error_type"][i].as_py(),
-                         batch["message"][i].as_py()))
-        for i in np.nonzero(kind == 1)[0]:
-            gid = batch[group_key][i].as_py()
-            edge.setdefault(gid, (set(), []))[0].add(
-                (gid, batch["error_type"][i].as_py(),
-                 batch["message"][i].as_py()))
-        for i in np.nonzero(kind == 2)[0]:
-            gid = batch[group_key][i].as_py()
-            edge.setdefault(gid, (set(), []))[1].append(
-                (batch["_ft"][i].as_py(), batch["_lt"][i].as_py(),
-                 batch["_fts"][i].as_py(), batch["_lts"][i].as_py()))
+    edge_runs: dict = {}
+    duplicates = 0
+    for batch in srt.map_batches(scan, batch_format="pyarrow") \
+            .iter_batches(batch_format="pyarrow"):
+        for blob in batch["part"].to_pylist():
+            final, stitch_rows, partials, interior_dups, runs = \
+                pickle.loads(blob)
+            rows.extend(final)
+            for row in stitch_rows:
+                edge.setdefault(row[0], (set(), []))[0].add(row)
+            for gid, *p in partials:
+                edge.setdefault(gid, (set(), []))[1].append(tuple(p))
+            duplicates += interior_dups
+            for k, c in runs:
+                edge_runs[k] = edge_runs.get(k, 0) + c
     stitch_edge_partials(edge, has_ts, rows)
-
-    import ray
-
     rows.sort(key=lambda r: (r[0] is None, r[0] or "", r[1], r[2]))
-    return ray.data.from_arrow(pa.table({
-        group_key: pa.array([r[0] for r in rows], pa.string()),
-        "error_type": pa.array([r[1] for r in rows], pa.string()),
-        "message": pa.array([r[2] for r in rows], pa.string()),
-    }))
+    duplicates += sum(1 for c in edge_runs.values() if c > 1)
+    return rows, duplicates
+
+
+def key_checks(ds, group_key: str = "conv_id",
+               order_key: str = "turn_idx",
+               ts_key: Optional[str] = "ts") -> dict:
+    """Duplicate ``(group, order)`` keys and the counts of
+    :func:`turn_ordering_violations`, from ONE key-only sort and one
+    scan (the validation job's key pass).
+
+    Returns ``{"duplicate_keys": n, "ordering_violations":
+    {type: n}}``; ``duplicate_keys`` counts the distinct key tuples
+    that occur more than once, as ``GROUP BY ... HAVING count(*) > 1``
+    does, NULL keys included."""
+    rows, duplicates = _key_scan(ds, group_key, order_key, ts_key)
+    ordering = dict.fromkeys(("duplicate_turn", "turn_gap",
+                              "ts_out_of_order"), 0)
+    for _, etype, _ in rows:
+        ordering[etype] += 1
+    return {"duplicate_keys": duplicates, "ordering_violations": ordering}
 
 
 def transition_violations(ds, key, order: str, label: str,

@@ -203,6 +203,31 @@ def _finalize_stats(merged: dict) -> pa.Table:
     return pa.Table.from_pylist(out_rows)
 
 
+def _merged_partials(merged: dict) -> List[dict]:
+    """A fold's state back as one partial row per column, for a
+    checkpoint that :func:`_merge_partial` folds again later: float
+    sums collapse to their correctly rounded ``math.fsum``, so the
+    rows do not depend on the order the fold saw its blocks in."""
+    import math
+
+    rows = []
+    for name, m in merged.items():
+        parts = m.get("_num_sum_parts")
+        rows.append({
+            "column": name, "cnt": m["cnt"], "nulls": m["nulls"],
+            "num_min": m["num_min"], "num_max": m["num_max"],
+            "num_sum": math.fsum(parts) if parts else None,
+            "num_sum_sq": (math.fsum(m["_num_sq_parts"]) if parts
+                           else None),
+            "len_sum": m["len_sum"], "len_min": m["len_min"],
+            "len_max": m["len_max"],
+            "hll": None if m["hll"] is None else m["hll"].serialize(),
+            "tdigest": (None if m["tdigest"] is None
+                        else m["tdigest"].serialize()),
+        })
+    return rows
+
+
 def _opt(f, a, b):
     if a is None:
         return b

@@ -166,75 +166,6 @@ def validate_by_registry(ds, registry: dict, arrow_schema: pa.Schema,
         batch_format="pyarrow", zero_copy_batch=True, **extra)
 
 
-def verdicts_dataset(ds, plan: TablePlan):
-    """Input dataset with an appended boolean ``valid`` column (the
-    fail_fast analogue: masks only, no message materialization)."""
-
-    def batch_fn(batch: pa.Table) -> pa.Table:
-        ok = verdict_mask(batch, plan)
-        return batch.append_column("valid", pa.array(ok, type=pa.bool_()))
-
-    return ds.map_batches(batch_fn, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
-def validation_scan_summary(ds, plan: TablePlan,
-                            hll_p: int = 12) -> dict:
-    """ONE fused scan computing verdict counts, violation-row counts
-    and per-column stats partials per batch — the shape a 100TB job
-    wants: a single pass over the data, one small partial per block,
-    driver-side merge. Returns ``{"total_rows", "valid_rows",
-    "invalid_rows", "violation_rows", "stats": pa.Table}``.
-    """
-    import pyarrow.compute as _pc
-
-    from .stats import _PARTIAL_SCHEMA, _column_partial, _merge_partial
-
-    counter_fields = [("total_rows", pa.int64()),
-                      ("valid_rows", pa.int64()),
-                      ("violation_rows", pa.int64())]
-    out_schema = pa.schema(
-        list(_PARTIAL_SCHEMA) + [pa.field(n, t) for n, t in counter_fields])
-
-    def batch_fn(batch: pa.Table) -> pa.Table:
-        viol, n_invalid = validate_batch(batch, plan,
-                                         with_invalid_count=True)
-        rows = [_column_partial(n, batch[n], hll_p, False)
-                for n in batch.column_names]
-        for r in rows:
-            r["total_rows"] = None
-            r["valid_rows"] = None
-            r["violation_rows"] = None
-        rows.append({
-            **{f.name: None for f in _PARTIAL_SCHEMA},
-            "column": None,
-            "total_rows": batch.num_rows,
-            "valid_rows": batch.num_rows - n_invalid,
-            "violation_rows": viol.num_rows,
-        })
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    parts = ds.map_batches(batch_fn, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    merged: dict = {}
-    totals = {"total_rows": 0, "valid_rows": 0, "violation_rows": 0}
-    for batch in parts.iter_batches(batch_format="pyarrow"):
-        for row in batch.to_pylist():
-            if row["column"] is None:
-                for k in totals:
-                    totals[k] += row[k]
-            else:
-                _merge_partial(merged, row)
-
-    from .stats import _finalize_stats
-
-    return {
-        **totals,
-        "invalid_rows": totals["total_rows"] - totals["valid_rows"],
-        "stats": _finalize_stats(merged),
-    }
-
-
 def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
                          group_key: str = "conv_id",
                          order_key: str = "turn_idx",
@@ -255,7 +186,11 @@ def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
     if not presorted:
         from .relational import null_safe_sort
 
-        ds = null_safe_sort(ds, [group_key], [order_key])
+        # ts orders equal turns, as turn_ordering_violations and SQL's
+        # ORDER BY turn_idx, ts do; without it a duplicated turn's rows
+        # come back in arbitrary order and can fake a ts regression
+        ds = null_safe_sort(ds, [group_key],
+                            [order_key] + ([ts_key] if has_ts else []))
 
     extra_fields = [
         ("total_rows", pa.int64()), ("valid_rows", pa.int64()),
