@@ -2,19 +2,20 @@
 
 Scale shape (SURVEY.md §2.4):
 
-- uniqueness: per-block pre-aggregation inside ``map_batches`` (a
-  block never ships more than its *distinct* keys), then a hash
-  shuffle ``groupby(keys).sum`` over the already-reduced partials,
-  then a filter. Duplicate keys are rare by assumption, so the
-  post-shuffle result is small.
+- uniqueness and key-run counts: :func:`.sorted_scan.stitch` on the
+  key tuple — one null-safe sort co-locates equal keys, each sorted
+  block counts its runs, and only the first/last run of each block
+  merges on the driver. Keys are compared by
+  :func:`.sorted_scan.key_segments`, so a NULL key is one group.
+- first-in-group: the arg-min membership flag, on
+  :func:`.sorted_scan.sorted_carry` with one carry row per block.
 - referential integrity: the small side's key set is collected and
   broadcast via ``ray.put`` once; each task checks membership
   per batch against the shared set — no shuffle join for a
   dimension-sized right side.
-- turn ordering: a genuinely per-group check ->
-  ``groupby(conv_id).map_groups`` with an in-group sort.
-- the validation job's key pass (:func:`key_checks`): duplicate keys
-  and turn ordering from ONE key-only sort and one scan.
+- turn ordering and the validation job's key pass
+  (:func:`key_checks`): ONE key-only sort, one scan emitting
+  per-block ordering partials and key-run counts, one driver fold.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import null_safe_sort  # re-export: sort-based checks
+from .sorted_scan import (_np, key_segments, null_safe_sort,
+                          sorted_carry, stitch)
 
 
 def duplicate_keys(ds, keys: List[str]):
@@ -43,73 +45,28 @@ def key_run_counts(ds, keys: List[str], min_count: int = 1):
     overhead (the duplicate_lineitem_keys rewrite measured 7.5s ->
     2.8s on exactly this shape).
 
-    Shape: ONE null-safe range-partitioned sort on the key tuple
-    co-locates equal keys, a vectorized adjacent-equal scan counts
-    runs per sorted batch (interior runs are final), and the
-    first/last key of each batch emits a fixed-size
-    (keys..., local_count) partial; the driver merges those
-    O(blocks) partials and keeps merged counts >= ``min_count``."""
-    import ray
-
-    from .relational import null_safe_sort
-
-    srt = null_safe_sort(ds.select_columns(keys), keys, [])
+    Shape: :func:`.sorted_scan.stitch` on the key tuple — one run
+    count per key segment of each sorted block; interior runs are
+    final and those below ``min_count`` drop at the scan, and the
+    first/last run of each block merge per key on the driver (their
+    counts add) and are emitted once. NULL keys form one group, as
+    in SQL ``GROUP BY``."""
     min_count = int(min_count)
 
-    def block_counts(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch.append_column(
-                "cnt", pa.array([], pa.int64())).append_column(
-                "_edge", pa.array([], pa.bool_()))
-        cols = [batch[k].combine_chunks().to_numpy(zero_copy_only=False)
-                for k in keys]
-        neq = np.zeros(n - 1, dtype=bool)
-        for c in cols:
-            neq |= c[1:] != c[:-1]
-        change = np.nonzero(neq)[0] + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [n]])
-        g = len(starts)
-        cnt = ends - starts
-        edge = np.zeros(g, dtype=bool)
-        edge[0] = edge[g - 1] = True
+    def pieces(batch: pa.Table, seg_ids, starts):
+        cnt = np.diff(np.append(starts, batch.num_rows))
+        edge = np.zeros(len(starts), bool)
+        edge[[0, -1]] = True
         keep = edge | (cnt >= min_count)
-        take = pa.array(starts[keep], pa.int64())
-        out = batch.take(take)
-        return out.append_column(
-            "cnt", pa.array(cnt[keep], pa.int64())).append_column(
-            "_edge", pa.array(edge[keep]))
+        return starts[keep], {"cnt": pa.array(cnt[keep], pa.int64())}, \
+            edge[keep]
 
-    scanned = srt.map_batches(block_counts, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+    def merge(carries: pa.Table):
+        total = int(pc.sum(carries["cnt"]).as_py())
+        return [(0, {"cnt": total})] if total >= min_count else []
 
-    def interior_only(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.invert(batch["_edge"]))
-        return kept.drop_columns(["_edge"])
-
-    interior = scanned.map_batches(interior_only,
-                                   batch_format="pyarrow",
-                                   zero_copy_batch=True)
-
-    # merge the O(blocks) fixed-size edge partials on the driver
-    edge: dict = {}
-    for batch in scanned.iter_batches(batch_format="pyarrow"):
-        kept = batch.filter(batch["_edge"])
-        for r in kept.to_pylist():
-            kt = tuple(r[k] for k in keys)
-            edge[kt] = edge.get(kt, 0) + r["cnt"]
-    dup_rows = [kt + (c,) for kt, c in edge.items()
-                if c >= min_count]
-    if not dup_rows:
-        return interior
-    base = scanned.schema().base_schema
-    extra = pa.table({
-        **{k: pa.array([r[i] for r in dup_rows], base.field(k).type)
-           for i, k in enumerate(keys)},
-        "cnt": pa.array([r[-1] for r in dup_rows], pa.int64()),
-    })
-    return interior.union(ray.data.from_arrow(extra))
+    return stitch(ds.select_columns(keys), keys, [], "key_run_counts",
+                  pieces, merge, list(keys) + ["cnt"])
 
 
 def uniqueness_violations(ds, keys: List[str]):
@@ -179,28 +136,45 @@ def referential_violations(ds, fk: str, ref_ds, pk: str,
 
 
 def _check_sorted_run(gid, turns: np.ndarray, ts: Optional[np.ndarray],
-                      rows: list, check_start: bool = True) -> None:
+                      rows: list, check_start: bool = True,
+                      tok: Optional[np.ndarray] = None,
+                      sok: Optional[np.ndarray] = None) -> None:
     """Exact per-conversation checks over turn-sorted arrays.
     ``check_start=False`` for a block-boundary SEGMENT of a
-    conversation: whether it starts at 0 is only known globally."""
+    conversation: whether it starts at 0 is only known globally.
+    ``tok``/``sok`` mark non-null turns/ts (default: all): as in
+    SQL, a row is compared with its predecessor only when both values
+    are non-null, and a NULL first turn is no late start."""
     if len(turns) == 0:
         return
-    if check_start and turns[0] != 0:
+    tok = np.ones(len(turns), bool) if tok is None else tok
+    if check_start and tok[0] and turns[0] != 0:
         rows.append((gid, "turn_gap",
                      f"turn_idx sequence starts at {int(turns[0])}, "
                      "expected 0."))
+    pair = tok[1:] & tok[:-1]
     d = np.diff(turns)
-    for v in np.unique(turns[:-1][d == 0]):
+    for v in np.unique(turns[:-1][pair & (d == 0)]):
         rows.append((gid, "duplicate_turn",
                      f"turn_idx {int(v)} appears more than once."))
-    gaps = np.nonzero(d > 1)[0]
-    for i in gaps:
+    for i in np.nonzero(pair & (d > 1))[0]:
         rows.append((gid, "turn_gap",
                      f"turn_idx jumps from {int(turns[i])} to "
                      f"{int(turns[i + 1])}."))
-    if ts is not None and len(ts) > 1 and np.any(np.diff(ts) < 0):
-        rows.append((gid, "ts_out_of_order",
-                     "ts is not non-decreasing in turn order."))
+    if ts is not None and len(ts) > 1:
+        back = np.diff(ts) < 0
+        if sok is not None:
+            back &= sok[1:] & sok[:-1]
+        if back.any():
+            rows.append((gid, "ts_out_of_order",
+                         "ts is not non-decreasing in turn order."))
+
+
+def _int64_valid(col):
+    """(int64 values with nulls as 0, non-null mask) of a column."""
+    arr = pc.cast(col, pa.int64())
+    return (pc.fill_null(arr, 0).to_numpy(zero_copy_only=False),
+            pc.is_valid(arr).to_numpy(zero_copy_only=False))
 
 
 def ordering_batch_parts(batch: pa.Table, group_key: str, order_key: str,
@@ -221,74 +195,55 @@ def ordering_batch_parts(batch: pa.Table, group_key: str, order_key: str,
       turns a hot conversation has. The merge dedupes stitch rows
       against boundary-derived rows (``stitch_edge_partials``).
 
-    All group logic runs on dictionary codes; strings materialize
-    only for violating or edge groups.
+    Conversations are the runs of :func:`.sorted_scan.key_segments`
+    (a NULL group key is one conversation); strings materialize only
+    for violating or edge conversations. A NULL turn or ts takes no
+    part in the comparisons that need it (``None`` in a partial), as
+    SQL's comparison of a row with its ``lag`` is never a violation
+    when either side is NULL.
     """
     n = batch.num_rows
-    conv = batch[group_key].combine_chunks()
-    turns = pc.cast(batch[order_key], pa.int64()).combine_chunks() \
-        .to_numpy(zero_copy_only=False)
-    ts = (pc.cast(batch[ts_key], pa.int64()).combine_chunks()
-          .to_numpy(zero_copy_only=False) if ts_key is not None else None)
+    turns, tok = _int64_valid(batch[order_key])
+    ts, sok = _int64_valid(batch[ts_key]) if ts_key is not None \
+        else (None, None)
+    newseg = key_segments(batch, [group_key])
+    seg_ids = np.cumsum(newseg) - 1
+    starts = np.nonzero(newseg)[0]
+    ends = np.append(starts[1:], n)
+    g = len(starts)
+    conv = batch[group_key]
 
-    enc = pc.dictionary_encode(conv)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    # null group key -> code -1 (its own contiguous run after a
-    # null-safe sort); gid resolves to None below
-    codes = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
-    dict_vals = enc.dictionary
+    def check(i, out, check_start=True):
+        s, e = starts[i], ends[i]
+        _check_sorted_run(conv[int(s)].as_py(), turns[s:e],
+                          None if ts is None else ts[s:e], out,
+                          check_start, tok[s:e],
+                          None if ts is None else sok[s:e])
 
-    edge_mask = (codes == codes[0]) | (codes == codes[n - 1])
-
-    def _gid(code):
-        return None if code == -1 else dict_vals[int(code)].as_py()
-
+    # fast path: only visit interior conversations with an anomaly
+    inside = ~newseg[1:]
+    anom = inside & tok[1:] & tok[:-1] & (np.diff(turns) != 1)
+    if ts is not None:
+        anom |= inside & sok[1:] & sok[:-1] & (np.diff(ts) < 0)
+    bad = set(seg_ids[1:][anom].tolist()) | \
+        set(np.nonzero(tok[starts] & (turns[starts] != 0))[0].tolist())
     rows: list = []
-    interior = ~edge_mask
-    if interior.any():
-        idxs = np.nonzero(interior)[0]
-        sub_codes = codes[idxs]
-        sub_turns = turns[idxs]
-        sub_ts = ts[idxs] if ts is not None else None
-        change = np.nonzero(np.diff(sub_codes) != 0)[0] + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [len(sub_codes)]])
-        # fast path: only visit conversations with an anomaly
-        d = np.diff(sub_turns)
-        same = np.diff(sub_codes) == 0
-        anom = (same & (d != 1))
-        if sub_ts is not None:
-            anom |= (same & (np.diff(sub_ts) < 0))
-        starts_bad = sub_turns[starts] != 0
-        if anom.any() or starts_bad.any():
-            bad_codes = set(sub_codes[1:][anom].tolist()) | \
-                set(sub_codes[starts[starts_bad]].tolist())
-            for s, e in zip(starts, ends):
-                code = sub_codes[s]
-                if code in bad_codes:
-                    _check_sorted_run(
-                        _gid(code), sub_turns[s:e],
-                        sub_ts[s:e] if sub_ts is not None else None,
-                        rows)
+    for i in sorted(bad - {0, g - 1}):
+        check(i, rows)
 
     stitch_rows: list = []
     partials: list = []
-    if n:
-        eq0 = codes == codes[0]
-        first_end = n if eq0.all() else int(np.argmax(~eq0))
-        segs = [(0, first_end)]
-        if codes[n - 1] != codes[0]:
-            last_start = int(n - np.argmax(codes[::-1] != codes[n - 1]))
-            segs.append((last_start, n))
-        for s, e in segs:
-            gid = _gid(codes[s])
-            partials.append((gid, int(turns[s]), int(turns[e - 1]),
-                             int(ts[s]) if ts is not None else 0,
-                             int(ts[e - 1]) if ts is not None else 0))
-            _check_sorted_run(gid, turns[s:e],
-                              ts[s:e] if ts is not None else None,
-                              stitch_rows, check_start=False)
+    for i in sorted({0, g - 1}):
+        s, e = starts[i], ends[i] - 1
+
+        def at(v, ok, j):
+            return int(v[j]) if ok[j] else None
+
+        partials.append((
+            conv[int(s)].as_py(), at(turns, tok, s), at(turns, tok, e),
+            at(ts, sok, s) if ts is not None else 0,
+            at(ts, sok, e) if ts is not None else 0))
+        check(i, stitch_rows, check_start=False)
     return rows, stitch_rows, partials
 
 
@@ -296,32 +251,36 @@ def stitch_edge_partials(edge: dict, has_ts: bool, rows: list) -> None:
     """Driver-side merge of edge-conversation state collected from all
     batches: ``edge`` maps gid -> (stitch_row_set, [partials]) where
     each partial is (first_turn, last_turn, first_ts, last_ts) for one
-    block segment. Segments are contiguous runs of the globally
-    sorted stream, so merging only needs the boundary between
-    adjacent segments: equal turns = duplicate, a jump > 1 = gap, a
-    ts drop = out-of-order; the start-at-0 check runs on the globally
-    first segment. Duplicate messages (a value duplicated both inside
-    a segment and across a boundary, or ts regressions in several
+    block segment, ``None`` for a NULL value. Segments are contiguous
+    runs of the globally sorted stream, so merging only needs the
+    boundary between adjacent segments: equal turns = duplicate, a
+    jump > 1 = gap, a ts drop = out-of-order, each only between
+    non-null values; the start-at-0 check runs on the globally first
+    segment. Duplicate messages (a value duplicated both inside a
+    segment and across a boundary, or ts regressions in several
     segments) collapse via the per-gid row set, matching the exact
     single-array semantics."""
     for gid, (row_set, partials) in edge.items():
-        partials.sort()
+        # NULLS LAST, as the sort orders them
+        partials.sort(key=lambda p: [(x is None, x or 0) for x in p])
         merged = set(row_set)
         ft0 = partials[0][0]
-        if ft0 != 0:
+        if ft0 is not None and ft0 != 0:
             merged.add((gid, "turn_gap",
                         f"turn_idx sequence starts at {ft0}, "
                         "expected 0."))
         for prev, nxt in zip(partials[:-1], partials[1:]):
-            if nxt[0] == prev[1]:
-                merged.add((gid, "duplicate_turn",
-                            f"turn_idx {nxt[0]} appears more than "
-                            "once."))
-            elif nxt[0] - prev[1] > 1:
-                merged.add((gid, "turn_gap",
-                            f"turn_idx jumps from {prev[1]} to "
-                            f"{nxt[0]}."))
-            if has_ts and nxt[2] < prev[3]:
+            if nxt[0] is not None and prev[1] is not None:
+                if nxt[0] == prev[1]:
+                    merged.add((gid, "duplicate_turn",
+                                f"turn_idx {nxt[0]} appears more than "
+                                "once."))
+                elif nxt[0] - prev[1] > 1:
+                    merged.add((gid, "turn_gap",
+                                f"turn_idx jumps from {prev[1]} to "
+                                f"{nxt[0]}."))
+            if has_ts and nxt[2] is not None and prev[3] is not None \
+                    and nxt[2] < prev[3]:
                 merged.add((gid, "ts_out_of_order",
                             "ts is not non-decreasing in turn "
                             "order."))
@@ -370,26 +329,18 @@ def turn_ordering_violations(ds, group_key: str = "conv_id",
 
 def _key_runs(batch: pa.Table, group_key: str, order_key: str):
     """Runs of equal ``(group, order)`` keys in a key-sorted batch,
-    nulls equal to nulls as in SQL ``GROUP BY``. Returns the number of
+    nulls equal to nulls as in SQL ``GROUP BY``
+    (:func:`.sorted_scan.key_segments`). Returns the number of
     interior runs longer than one row (final: equal keys are
     contiguous in the sorted stream) and ``((group, order), rows)`` of
     the first and last run, which may continue in a neighbouring
     block."""
-    n = batch.num_rows
-    enc = pc.dictionary_encode(batch[group_key].combine_chunks())
-    codes = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
-    turn = pc.cast(batch[order_key], pa.int64()).combine_chunks()
-    null = pc.is_null(turn).to_numpy(zero_copy_only=False)
-    turn = pc.fill_null(turn, 0).to_numpy(zero_copy_only=False)
-    change = np.nonzero((codes[1:] != codes[:-1]) | (turn[1:] != turn[:-1])
-                        | (null[1:] != null[:-1]))[0] + 1
-    starts = np.concatenate([[0], change])
-    cnt = np.diff(np.concatenate([starts, [n]]))
+    starts = np.nonzero(key_segments(batch, [group_key, order_key]))[0]
+    cnt = np.diff(np.append(starts, batch.num_rows))
 
     def key(i):
-        s = starts[i]
-        return (None if codes[s] == -1 else enc.dictionary[codes[s]].as_py(),
-                None if null[s] else int(turn[s]))
+        s = int(starts[i])
+        return (batch[group_key][s].as_py(), batch[order_key][s].as_py())
 
     edges = [(key(0), int(cnt[0]))]
     if len(starts) > 1:
@@ -416,9 +367,6 @@ def _key_scan(ds, group_key: str, order_key: str, ts_key: Optional[str],
     srt = proj if presorted else null_safe_sort(proj, [group_key], tail)
 
     def scan(batch: pa.Table) -> pa.Table:
-        # null_safe_sort can hand out empty blocks without columns
-        if batch.num_rows == 0:
-            return pa.table({"part": pa.array([], pa.binary())})
         part = ordering_batch_parts(batch, group_key, order_key,
                                     ts_key if has_ts else None)
         part += _key_runs(batch, group_key, order_key)
@@ -934,81 +882,28 @@ def first_in_group(ds, keys: List[str], order: str,
     the distributed arg-min membership test behind first-occurrence /
     novelty scoring. The right shape for NEAR-UNIQUE keys (corpus
     shingles, content hashes), where a hash aggregate's machinery is
-    pure overhead: ONE null-safe range-partitioned sort on
-    (keys..., order) co-locates each group, a vectorized
-    adjacent-equal scan flags in-block run heads, and only each
-    block's FIRST row is pending — it heads a run that may continue
-    an earlier block's, and every such predecessor run, by sorted
-    contiguity, ends at some earlier block's LAST row, so the
-    O(n_blocks) collected last-rows resolve all pending flags in one
-    broadcast lookup (pending is first iff no collected last-row of
-    its key has a smaller order). ``order`` must be unique per key
-    tuple and numeric/temporal."""
-    import ray
-
-    from .relational import null_safe_sort
-
-    srt = null_safe_sort(ds, keys, [order])
-
-    def scan(batch: pa.Table) -> pa.Table:
+    pure overhead: :func:`.sorted_scan.sorted_carry` on (keys...,
+    order) flags in-block key-segment heads, and only each block's
+    FIRST row is pending — it heads a run that may continue an
+    earlier block's, and every such predecessor run, by sorted
+    contiguity, ends at some earlier block's LAST row, so each block
+    carries its last row and a pending row is first iff no carry of
+    its key lies before it. NULL keys form one group. ``order`` must
+    be unique per key tuple and numeric/temporal."""
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            return batch.append_column(out, pa.array([], pa.bool_())) \
-                .append_column("__rt", pa.array([], pa.int8()))
-        cols = [batch[k].combine_chunks().to_numpy(zero_copy_only=False)
-                for k in keys]
-        neq = np.zeros(n - 1, dtype=bool)
-        for c in cols:
-            neq |= c[1:] != c[:-1]
-        first = np.concatenate([[True], neq])
-        rt = np.zeros(n, np.int8)
-        rt[0] = 1  # only the block head can continue an earlier run
-        out_t = batch.append_column(out, pa.array(first)) \
-            .append_column("__rt", pa.array(rt))
-        carry = batch.slice(n - 1, 1) \
-            .append_column(out, pa.array([False])) \
-            .append_column("__rt", pa.array([2], pa.int8()))
-        return pa.concat_tables([out_t, carry])
+        pend = np.zeros(n, bool)
+        pend[0] = True
+        first = np.zeros(n, bool)
+        first[starts] = True
+        return None, {out: pa.array(first)}, pend, [n - 1], {}
 
-    scanned = srt.map_batches(scan, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        flags = _np(kept[out]).copy()
+        for rows, pos, _ in groups:
+            flags[rows[pos > 0]] = False
+        return kept.set_column(kept.column_names.index(out), out,
+                               pa.array(flags))
 
-    # min order among each key's collected block-LAST rows
-    min_last: dict = {}
-    for kept in scanned.map_batches(
-            lambda t: t.filter(pc.equal(t["__rt"], 2)),
-            batch_format="pyarrow", zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        if not kept.num_rows:
-            continue
-        kk = list(zip(*[kept[k].to_pylist() for k in keys]))
-        ov = kept[order].to_pylist()
-        for kt, o in zip(kk, ov):
-            if kt not in min_last or o < min_last[kt]:
-                min_last[kt] = o
-
-    handle = ray.put(min_last)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        n = kept.num_rows
-        if n == 0:
-            return kept.drop_columns(["__rt"])
-        rt = kept["__rt"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        pend = np.nonzero(rt == 1)[0]
-        flags = kept[out].combine_chunks() \
-            .to_numpy(zero_copy_only=False).copy()
-        if len(pend):
-            ml = ray.get(handle)
-            i = int(pend[0])
-            kt = tuple(kept[k][i].as_py() for k in keys)
-            o = kept[order][i].as_py()
-            prev = ml.get(kt)
-            flags[i] = prev is None or not (prev < o)
-        oi = kept.column_names.index(out)
-        return kept.set_column(oi, out, pa.array(flags)) \
-            .drop_columns(["__rt"])
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return sorted_carry(ds, keys, [order], "first_in_group", scan,
+                        lambda t: None, resolve)

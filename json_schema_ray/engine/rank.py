@@ -2,27 +2,28 @@
 totals and ROWS-frame windows, lag/lead, forward fill, exact
 per-group quantiles, deterministic per-group mode.
 
-Scale shape, same discipline as ``window.py`` / the sorted as-of join
-in ``relational.py``: top-k partials are MERGEABLE (top-k of a union
-is contained in the union of per-part top-ks), so each block is first
+Scale shape: top-k partials are MERGEABLE (top-k of a union is
+contained in the union of per-part top-ks), so each block is first
 reduced to <= k rows per group before anything moves; one
 range-partitioned sort then co-locates groups, and only the <= 2 key
 segments that can straddle a block boundary surface as fixed-size
-edge/carry rows — driver memory is O(k * n_blocks), independent of
-any single group's row count, and no per-group Python
-(``map_groups``) runs anywhere.
+edge rows — driver memory is O(k * n_blocks), independent of any
+single group's row count, and no per-group Python (``map_groups``)
+runs anywhere.
 
 The ordered-window operators (running sums and maxima, moving-window
 sum/median/extrema/distinct count, lag/lead, forward fill, trailing
-concatenation) all run on ONE sort-scan-carry primitive,
-:func:`_sorted_carry`, described there once: one range-partitioned
+concatenation) and the exact quantile pair all run on the one
+sort-scan-carry round-trip of :mod:`.sorted_scan`
+(:func:`.sorted_scan.sorted_carry`): one null-safe range-partitioned
 sort, a vectorized scan per sorted block, O(n_blocks) carry rows
 folded on the driver and broadcast once, and a distributed resolve of
 the few rows that need another block's state. Positions cross blocks
-in one exact encoding, :func:`_order_np`. The quantile pair keeps its
-own rank carry over the same :func:`_boundaries_before` lookup;
-``grouped_mode`` is a pure composition of a combiner counts groupby
-and ``grouped_top_k(k=1)`` over the reduced counts.
+in one exact encoding, :func:`.sorted_scan.order_np`. The quantile
+pair is one global-rank carry (:func:`_grouped_quantiles`) that
+differs only in its target ranks; ``grouped_mode`` is a pure
+composition of a combiner counts groupby and ``grouped_top_k(k=1)``
+over the reduced counts.
 """
 
 from __future__ import annotations
@@ -33,116 +34,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_SEP = "\x1f"
-_ESC = "\x1e"
-
-
-def _group_key_expr(batch: pa.Table, keys: List[str]) -> pa.Array:
-    """One null-safe STRING key per row: each key column rendered as
-    ``"v" + str(value)`` / ``"n"`` and joined with an unprintable
-    separator. Only EQUALITY of the encoding matters (it is exact per
-    column); its lexicographic order is used purely to co-locate
-    groups in the sort, never to order results. Injective: separator
-    and escape bytes inside string values are escaped (multi-key
-    only), and float ``-0.0`` folds onto ``0.0`` (SQL GROUP BY
-    equality)."""
-    parts = []
-    multi = len(keys) > 1
-    for k in keys:
-        col = batch[k]
-        if _is_str(col.type):
-            s = col
-            if multi:
-                s = pc.replace_substring(s, _ESC, _ESC + _ESC)
-                s = pc.replace_substring(s, _SEP, _ESC + "s")
-        else:
-            if pa.types.is_floating(col.type):
-                col = pc.add(col, pa.scalar(0.0, col.type))
-            s = pc.cast(col, pa.string())
-        parts.append(pc.if_else(
-            pc.is_null(s), pa.scalar("n"),
-            pc.binary_join_element_wise("v", s, "")))
-    if len(parts) == 1:
-        return parts[0] if isinstance(parts[0], pa.Array) \
-            else parts[0].combine_chunks()
-    out = pc.binary_join_element_wise(*parts, _SEP)
-    return out if isinstance(out, pa.Array) else out.combine_chunks()
-
-
-# single definition shared with the relational module
-from .relational import _is_string_type as _is_str  # noqa: E402
-
-
-def _np(col) -> np.ndarray:
-    """One Arrow column (chunked or not) as a numpy vector."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return col.to_numpy(zero_copy_only=False)
-
-
-_I64_MAX = (1 << 63) - 1
-
-
-def _int64_order(t: pa.DataType) -> bool:
-    return pa.types.is_integer(t) or pa.types.is_temporal(t) \
-        or _is_str(t)
-
-
-def _order_np(batch: pa.Table, col: str,
-              descending: bool = False) -> np.ndarray:
-    """Order column as an EXACT ascending-sortable vector — the one
-    position encoding of this module, for in-batch ranking and carry
-    anchors alike. NULLs rank LAST either way (DuckDB's NULLS LAST
-    default for ASC and DESC, and :func:`.relational.null_safe_sort`'s
-    order).
-
-    - Integer and temporal columns stay int64 (a float64 mantissa
-      would merge nanosecond epochs and ids above 2**53); descending
-      is bitwise NOT, which never overflows; NULLs sit at INT64_MAX,
-      and a real value landing on that sentinel raises.
-    - Other numeric columns are float64, descending negated, NULLs at
-      +inf.
-    - STRING columns factorize to their lexicographic rank WITHIN the
-      batch (``np.unique`` codes are order-isomorphic to the strings):
-      exact for in-batch comparisons, never comparable across blocks.
-    """
-    src = batch[col]
-    if isinstance(src, pa.ChunkedArray):
-        src = src.combine_chunks()
-    t = src.type
-    null = pc.is_null(src).to_numpy(zero_copy_only=False)
-    if not _int64_order(t):
-        v = pc.fill_null(pc.cast(src, pa.float64()), 0.0) \
-            .to_numpy(zero_copy_only=False).copy()
-        if descending:
-            v = -v
-        v[null] = np.inf
-        return v
-    if _is_str(t):
-        vals = pc.fill_null(src, "").to_numpy(zero_copy_only=False)
-        v = np.unique(vals.astype(str), return_inverse=True)[1] \
-            .astype(np.int64)
-    else:
-        if pa.types.is_temporal(t) and t.bit_width == 32:
-            src = pc.cast(src, pa.int32())  # no direct int64 cast
-        v = np.array(pc.fill_null(pc.cast(src, pa.int64()), 0)
-                     .to_numpy(zero_copy_only=False), np.int64)
-    if descending:
-        v = ~v
-    if (v == _I64_MAX).any():
-        raise ValueError(
-            f"order column {col!r} contains"
-            f" {'INT64_MIN' if descending else 'INT64_MAX'}, which"
-            " encodes to the nulls-last sentinel")
-    v[null] = _I64_MAX
-    return v
-
-
-def _anchor_pa_type(t: pa.DataType) -> pa.DataType:
-    """Arrow type of a column holding :func:`_order_np` values of an
-    order column of type ``t`` — int64 or float64. Keeps empty blocks
-    schema-identical to full ones."""
-    return pa.int64() if _int64_order(t) else pa.float64()
+from .sorted_scan import (_is_string_type as _is_str, _np,
+                          group_key_expr, key_segments, order_np,
+                          replace_rows, sorted_carry)
 
 
 def _segment_topk(kk: np.ndarray, sort_key: np.ndarray,
@@ -162,175 +56,6 @@ def _segment_topk(kk: np.ndarray, sort_key: np.ndarray,
     return order[keep], rank[keep]
 
 
-def _boundaries_before(last_a: np.ndarray, last_b: np.ndarray,
-                       av: np.ndarray, bv: np.ndarray,
-                       inclusive: bool = False) -> np.ndarray:
-    """For each query position ``(av[i], bv[i])``, the number of
-    carry boundaries ``(last_a, last_b)`` — sorted lexicographically —
-    strictly before it (at-or-before with ``inclusive=True``): one
-    searchsorted on the primary key, then a vectorized walk over
-    primary-key ties refining on the secondary.
-    """
-    pos = np.searchsorted(last_a, av, side="left")
-    for _ in range(len(last_a)):
-        inb = pos < len(last_a)
-        adv = inb.copy()
-        if inclusive:
-            adv[inb] = (last_a[pos[inb]] == av[inb]) & \
-                (last_b[pos[inb]] <= bv[inb])
-        else:
-            adv[inb] = (last_a[pos[inb]] == av[inb]) & \
-                (last_b[pos[inb]] < bv[inb])
-        if not adv.any():
-            break
-        pos[adv] += 1
-    return pos
-
-
-def _sorted_carry(ds, keys: List[str], ts: str, tiebreak: str, op: str,
-                  scan, resolve, fold, forward: bool = False, drop=()):
-    """The sort-scan-carry primitive every ordered-window operator of
-    this module runs on: ONE null-safe range-partitioned sort on
-    ``(keys, ts, tiebreak)``, a vectorized scan per sorted block,
-    O(n_blocks) carry rows folded on the driver and broadcast once,
-    then a lazy distributed resolve of the rows that need state from
-    other blocks. The sort and the scan run in one ``materialize``,
-    then the carry read; the resolve runs when the caller consumes it.
-
-    Sorted blocks are contiguous key ranges, so a key that continues
-    into a later block is the LAST key segment of each block before
-    it (the FIRST with ``forward``), and its state crosses blocks as
-    that segment's carry rows. Every pending row is stamped with the
-    exact :func:`_order_np` anchor of its block's first row (last row
-    with ``forward``) and counts its key's carries strictly before
-    that anchor (at or before it with ``forward``), so the resolve
-    never depends on how Ray re-batches the scanned blocks.
-
-    - ``scan(batch, seg_ids, starts) -> (cols, pend, carry_idx,
-      carry_cols)`` sees one non-empty sorted block, its per-row key
-      segment ids and the segment start rows. ``cols`` maps new
-      column names to per-row arrays; ``pend`` marks the rows that
-      need carries; ``carry_idx`` picks the block rows to carry and
-      ``carry_cols`` their values. A name missing on one side is NULL
-      there; carry-only names belong in ``drop``.
-    - ``fold(carries) -> state`` reduces one key's carry rows, in
-      ``(ts, tiebreak)`` order.
-    - ``resolve(kept, groups) -> kept`` finishes one batch without its
-      carry rows; ``groups`` holds ``(rows, pos, state)`` for each key
-      with pending rows and carries, ``pos[i]`` being the count above
-      for row ``rows[i]``.
-
-    ``ts``/``tiebreak`` must be numeric or temporal: a string's
-    in-batch factorization is not comparable across blocks. Integer
-    and temporal anchors are int64, so nanosecond epochs and
-    tiebreaks above 2**53 stay distinct."""
-    import ray
-
-    from .relational import null_safe_sort
-
-    aux = ["__rt", "__aa", "__ab"]
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch  # a sorted block can be empty, even of columns
-        for c in (ts, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"{op}: order column {c!r} is a string; only"
-                    " numeric/temporal order columns carry across"
-                    " block boundaries")
-        kk = _group_key_expr(batch, keys).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        cols, pend, cidx, ccols = scan(batch, np.cumsum(newseg) - 1,
-                                       np.nonzero(newseg)[0])
-        cidx = np.asarray(cidx, np.int64)
-        m = len(cidx)
-        main, carry = batch, batch.take(pa.array(cidx))
-        for c in list(cols) + [c for c in ccols if c not in cols]:
-            x, y = cols.get(c), ccols.get(c)
-            main = main.append_column(
-                c, pa.nulls(n, y.type) if x is None else x)
-            carry = carry.append_column(
-                c, pa.nulls(m, x.type) if y is None else y)
-        a = _order_np(batch, ts)
-        b = _order_np(batch, tiebreak)
-        e = n - 1 if forward else 0
-        main = main.append_column(
-            "__rt", pa.array(np.asarray(pend, np.int8))) \
-            .append_column("__aa", pa.array(np.full(n, a[e]))) \
-            .append_column("__ab", pa.array(np.full(n, b[e])))
-        carry = carry.append_column(
-            "__rt", pa.array(np.full(m, 2, np.int8))) \
-            .append_column("__aa", pa.array(a[cidx])) \
-            .append_column("__ab", pa.array(b[cidx]))
-        return pa.concat_tables([main, carry])
-
-    scanned = null_safe_sort(ds, keys, [ts, tiebreak]).map_batches(
-        stamp, batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    # only carry rows reach the driver: the filter runs distributed
-    def carry_only(batch: pa.Table) -> pa.Table:
-        if "__rt" not in batch.column_names:
-            return batch
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    parts = [b for b in scanned.map_batches(
-        carry_only, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow") if b.num_rows]
-    state: dict = {}
-    if parts:
-        ct = pa.concat_tables(parts, promote_options="default")
-        kv, code = np.unique(
-            _group_key_expr(ct, keys).to_numpy(zero_copy_only=False),
-            return_inverse=True)
-        la, lb = _np(ct["__aa"]), _np(ct["__ab"])
-        order = np.lexsort((lb, la, code))
-        ct = ct.take(pa.array(order))
-        code, la, lb = code[order], la[order], lb[order]
-        bounds = np.nonzero(np.concatenate(
-            [[True], code[1:] != code[:-1], [True]]))[0]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            state[str(kv[code[lo]])] = (
-                la[lo:hi], lb[lo:hi], fold(ct.slice(lo, hi - lo)))
-    handle = ray.put(state)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if "__rt" not in batch.column_names:
-            return batch
-        kept = batch.filter(pc.not_equal(batch["__rt"], 2))
-        pend = np.nonzero(_np(kept["__rt"]) == 1)[0]
-        groups = []
-        if len(pend):
-            offs = ray.get(handle)
-            kk = _group_key_expr(kept.take(pa.array(pend)), keys) \
-                .to_numpy(zero_copy_only=False)
-            aa, ab = _np(kept["__aa"])[pend], _np(kept["__ab"])[pend]
-            for kval in np.unique(kk):
-                if kval in offs:
-                    la, lb, st = offs[kval]
-                    sel = kk == kval
-                    groups.append((pend[sel], _boundaries_before(
-                        la, lb, aa[sel], ab[sel], inclusive=forward),
-                        st))
-        return resolve(kept, groups).drop_columns(aux + list(drop))
-
-    return scanned.map_batches(finish, batch_format="pyarrow",
-                               zero_copy_batch=True)
-
-
-def _replace_rows(kept: pa.Table, name: str, rows, vals) -> pa.Table:
-    """``kept`` with column ``name`` set to ``vals`` at ``rows``
-    (any order; chunking is kept)."""
-    rows = np.asarray(rows, np.int64)
-    order = np.argsort(rows, kind="stable")
-    mask = np.zeros(kept.num_rows, bool)
-    mask[rows] = True
-    i = kept.column_names.index(name)
-    return kept.set_column(i, name, pc.replace_with_mask(
-        kept[name], pa.array(mask), vals.take(pa.array(order))))
-
-
 def _fill_from_carries(kept: pa.Table, groups, out: str,
                        forward: bool) -> pa.Table:
     """Shared resolve of lag, lead and forward fill: a pending row
@@ -345,7 +70,7 @@ def _fill_from_carries(kept: pa.Table, groups, out: str,
                 vals.append(vv[p])
     if not rows:
         return kept
-    return _replace_rows(kept, out, rows,
+    return replace_rows(kept, out, rows,
                          pa.array(vals, kept[out].type))
 
 
@@ -379,19 +104,19 @@ def grouped_top_k(ds, keys: List[str], order_col: str, k: int,
     out_names = None  # closed over lazily: original column order
 
     def encode(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__k", _group_key_expr(batch, keys))
+        return batch.append_column("__k", group_key_expr(batch, keys))
 
     def tb_np(batch: pa.Table) -> np.ndarray:
         if tiebreak is None:
             return np.arange(batch.num_rows, dtype=np.int64)
-        return _order_np(batch, tiebreak,
+        return order_np(batch, tiebreak,
                          descending=tiebreak_descending)
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch
         kk = batch["__k"].combine_chunks().to_numpy(zero_copy_only=False)
-        sel, _ = _segment_topk(kk, _order_np(batch, order_col, descending),
+        sel, _ = _segment_topk(kk, order_np(batch, order_col, descending),
                                tb_np(batch), k)
         return batch.take(pa.array(np.sort(sel)))
 
@@ -409,7 +134,7 @@ def grouped_top_k(ds, keys: List[str], order_col: str, k: int,
                 "__edge", pa.array([], pa.bool_()))
         kk = batch["__k"].combine_chunks().to_numpy(zero_copy_only=False)
         sel, rank = _segment_topk(
-            kk, _order_np(batch, order_col, descending), tb_np(batch), k)
+            kk, order_np(batch, order_col, descending), tb_np(batch), k)
         out = batch.take(pa.array(sel))
         edge = (kk[sel] == kk[0]) | (kk[sel] == kk[n - 1])
         return out.append_column(
@@ -444,7 +169,7 @@ def grouped_top_k(ds, keys: List[str], order_col: str, k: int,
     edges = pa.concat_tables(edge_tables, promote_options="default")
     kk = edges["__k"].combine_chunks().to_numpy(zero_copy_only=False)
     sel, rank = _segment_topk(
-        kk, _order_np(edges, order_col, descending), tb_np(edges), k)
+        kk, order_np(edges, order_col, descending), tb_np(edges), k)
     resolved = edges.take(pa.array(sel)) \
         .drop_columns(["rn", "__k", "__edge"]) \
         .append_column("rn", pa.array(rank + 1, pa.int64()))
@@ -468,7 +193,7 @@ def cumulative_sum(ds, key: str, ts: str, value: str,
     deterministic SQL ROWS window).
 
     Shape (shared with :func:`grouped_value_ranks` via
-    :func:`_running_sums`): :func:`_sorted_carry` with a vectorized
+    :func:`_running_sums`): :func:`sorted_carry` with a vectorized
     per-block prefix scan (every segment that STARTS in a block is
     final) and one carry row per block, the (sum, non-null count) of
     its last key segment. A Zipf-hot key spanning every block costs
@@ -476,7 +201,7 @@ def cumulative_sum(ds, key: str, ts: str, value: str,
     contribute (SQL SUM ignores them); a row with no non-null value
     so far carries a NULL running_sum. ``ts`` / ``tiebreak`` must be
     numeric or temporal (exact carry positions, see
-    :func:`_sorted_carry`).
+    :func:`sorted_carry`).
     """
     return _running_sums(ds, key, ts, [(value, "running_sum")],
                          tiebreak)
@@ -508,7 +233,7 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
     out_col, op)`` with ``op`` in {"sum", "max"} (default "sum");
     every row gains each ``out_col`` = running sum/max of its
     ``value_col`` (NULL until the first non-null value). Runs on
-    :func:`_sorted_carry`: each block carries its last row, whose
+    :func:`sorted_carry`: each block carries its last row, whose
     in-segment running values are its last segment's totals, and the
     driver folds them into per-key prefix sums for "sum" and prefix
     maxima for "max" (identity 0 / -inf)."""
@@ -546,7 +271,7 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
                     step <<= 1
             cols[oname] = pa.array(cs, pa.float64())
             cols[cc] = pa.array(cn, pa.int64())
-        return cols, seg_ids == 0, [n - 1], \
+        return None, cols, seg_ids == 0, [n - 1], \
             {c: a.slice(n - 1, 1) for c, a in cols.items()}
 
     def fold(carries: pa.Table):
@@ -575,8 +300,8 @@ def _running_sums(ds, key: str, ts: str, pairs, tiebreak: str):
                 run, pa.float64(), mask=(cnt == 0)))
         return kept
 
-    return _sorted_carry(ds, [key], ts, tiebreak, "running sums", scan,
-                         resolve, fold, drop=cnt_cols)
+    return sorted_carry(ds, [key], [ts, tiebreak], "running sums", scan,
+                        fold, resolve, drop=cnt_cols)
 
 
 def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -588,7 +313,7 @@ def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
     SQL SUM semantics). ``(ts, tiebreak)`` must be unique per key,
     numeric/temporal only (the :func:`cumulative_sum` contract).
 
-    Shape: :func:`_sorted_carry` with per-block windowed prefix-sum
+    Shape: :func:`sorted_carry` with per-block windowed prefix-sum
     differences (every row with ``window_n - 1`` same-key in-block
     predecessors is final) and <= window_n - 1 carry rows per block,
     the tail of its last key segment. Only each block's first <=
@@ -617,7 +342,8 @@ def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
         lo = np.maximum(idx - tail, starts[seg_ids])
         cidx = np.arange(max(int(starts[-1]), n - tail), n)
         # a carry's `out` holds the row's OWN value
-        return ({out: pa.array(cs0[idx + 1] - cs0[lo], pa.float64()),
+        return (None,
+                {out: pa.array(cs0[idx + 1] - cs0[lo], pa.float64()),
                  "win_cnt": pa.array(cn0[idx + 1] - cn0[lo], pa.int64()),
                  "__j": pa.array(in_seg, pa.int64())},
                 (seg_ids == 0) & (in_seg < tail), cidx,
@@ -640,9 +366,9 @@ def windowed_sum(ds, key: str, ts: str, value: str, tiebreak: str,
         return res.set_column(res.column_names.index("win_cnt"),
                               "win_cnt", pa.array(wcnt, pa.int64()))
 
-    return _sorted_carry(ds, [key], ts, tiebreak, "windowed_sum", scan,
-                         resolve, lambda t: t[out].to_pylist(),
-                         drop=["__j"])
+    return sorted_carry(ds, [key], [ts, tiebreak], "windowed_sum", scan,
+                        lambda t: t[out].to_pylist(), resolve,
+                        drop=["__j"])
 
 
 def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -650,7 +376,7 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
                    cnt_out: str):
     """Shared harness for order-sensitive ROWS-frame window operators
     whose per-frame statistic cannot fold into a combinable partial
-    (median, min/max, ...): :func:`_sorted_carry` with a vectorized
+    (median, min/max, ...): :func:`sorted_carry` with a vectorized
     ``sliding_window_view`` kernel per block and the
     :func:`windowed_sum` carries — the last <= window_n - 1 values
     (nulls kept) of each block's last key segment. Each pending row
@@ -705,7 +431,7 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
         cols["__fv"] = pa.ListArray.from_arrays(
             pa.array(offs, pa.int32()), varr.take(pa.array(flat)))
         cidx = np.arange(max(int(starts[-1]), n - tail), n)
-        return cols, pend, cidx, {"__cv": varr.take(pa.array(cidx))}
+        return None, cols, pend, cidx, {"__cv": varr.take(pa.array(cidx))}
 
     def resolve(kept: pa.Table, groups) -> pa.Table:
         stats = {name: _np(pc.fill_null(kept[name], 0)).copy()
@@ -730,9 +456,9 @@ def _windowed_rows(ds, key: str, ts: str, value: str, tiebreak: str,
         return kept.set_column(kept.column_names.index(cnt_out),
                                cnt_out, pa.array(cnt, pa.int64()))
 
-    return _sorted_carry(ds, [key], ts, tiebreak, "windowed op", scan,
-                         resolve, lambda t: t["__cv"].to_pylist(),
-                         drop=["__fv", "__cv"])
+    return sorted_carry(ds, [key], [ts, tiebreak], "windowed op", scan,
+                        lambda t: t["__cv"].to_pylist(), resolve,
+                        drop=["__fv", "__cv"])
 
 
 def windowed_median(ds, key: str, ts: str, value: str, tiebreak: str,
@@ -1044,28 +770,41 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
     """EXACT per-group quantiles, DuckDB ``quantile_disc(col, q)
     GROUP BY key`` convention (the element with 1-based rank
     ``ceil(q * n)`` among the group's non-null values). Returns
-    ``(key, q, value)`` rows.
-
-    Shape: NULL values drop (SQL quantile semantics), ONE null-safe
-    range-partitioned sort on ``(key, col, tiebreak)``, then a
-    vectorized per-block pass: every key segment that neither starts
-    nor ends a block is complete, so its target ranks resolve
-    in-block; only the first/last segment of each block (the ones a
-    neighbouring block can continue) emit a fixed-size carry row and
-    keep their rows as distributed pending rows. The driver folds the
-    <= 2 carries per block into per-key totals + prefix counts —
-    O(n_blocks) state — and broadcasts them; pending rows then
-    compute their GLOBAL rank distributed and self-select. A hot key
-    spanning every block costs one carry row per block, never its
-    rows. ``tiebreak`` must make ``(col, tiebreak)`` unique within a
-    key so global ranks form a permutation (equal values make the
-    SELECTED VALUE tie-insensitive, but rank bookkeeping needs the
-    total order).
+    ``(key, q, value)`` rows. Shape: :func:`_grouped_quantiles`.
+    ``tiebreak`` must make ``(col, tiebreak)`` unique within a key so
+    global ranks form a permutation (equal values make the SELECTED
+    VALUE tie-insensitive, but rank bookkeeping needs the total
+    order).
     """
-    import math
+    def targets(cnt, q):
+        lo = np.maximum(np.ceil(q * cnt).astype(np.int64) - 1, 0)
+        return lo, lo, np.zeros(len(cnt))
 
-    from .relational import null_safe_sort
+    return _grouped_quantiles(ds, key, col, qs, tiebreak,
+                              "grouped_exact_quantiles", targets,
+                              lambda q: q)
 
+
+def _grouped_quantiles(ds, key: str, col: str, qs, tiebreak: str,
+                       op: str, targets, q_out):
+    """The global-rank carry behind the exact quantile pair.
+    ``targets(cnt, q) -> (lo, hi, frac)`` gives, per group size, the
+    0-based ranks whose values interpolate quantile ``q``: ``v[lo] +
+    (v[hi] - v[lo]) * frac``, or ``v[lo]`` when ``hi == lo``.
+    ``q_out(q)`` is the ``q`` written to the output.
+
+    Shape: NULL values drop (SQL quantile semantics), then
+    :func:`sorted_carry` on ``(key, col, tiebreak)``.
+    Every key segment that neither starts nor ends a block is
+    complete, so its targets resolve in-block and its other rows are
+    dropped at the scan. The first/last segment of each block keeps
+    its rows as pending rows and carries one row, its size and first
+    value. The driver folds each key's carries into prefix counts and
+    targets, so a pending row's GLOBAL rank is its in-block rank plus
+    the sizes of its key's earlier pieces, and a ``hi`` rank just past
+    a piece's last row reads the next piece's first value. A hot key
+    spanning every block costs one carry row per block, never its
+    rows; no second exchange merges partial values."""
     qlist = sorted(set(float(q) for q in qs))
     if not qlist:
         raise ValueError("qs must be non-empty")
@@ -1076,182 +815,86 @@ def grouped_exact_quantiles(ds, key: str, col: str, qs,
         for c in (col, tiebreak):
             if _is_str(batch[c].type):
                 raise ValueError(
-                    f"grouped_exact_quantiles: column {c!r} is a"
-                    " string; only numeric/temporal value/tiebreak"
-                    " columns carry across block boundaries")
+                    f"{op}: column {c!r} is a string; only"
+                    " numeric/temporal value/tiebreak columns carry"
+                    " across block boundaries")
         return batch.select([key, col, tiebreak]) \
             .filter(pc.is_valid(batch[col]))
 
-    sorted_ds = null_safe_sort(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), [key], [col, tiebreak])
+    def value_at(v, nxt, lo, hi, frac):
+        with np.errstate(invalid="ignore"):
+            return np.where(hi > lo, v + (nxt - v) * frac, v)
 
-    def targets_of(n: int) -> dict:
-        out: dict = {}
-        for q in qlist:
-            out.setdefault(max(0, math.ceil(q * n) - 1), []).append(q)
-        return out
-
-    def scan(batch: pa.Table) -> pa.Table:
-        ktype = batch[key].type
-        at = _anchor_pa_type(batch[col].type)
-        bt = _anchor_pa_type(batch[tiebreak].type)
-        empty = pa.table({
-            key: pa.array([], ktype),
-            "q": pa.array([], pa.float64()),
-            "value": pa.array([], pa.float64()),
-            "__k": pa.array([], pa.string()),
-            "__col": pa.array([], at),
-            "__tb": pa.array([], bt),
-            "__rank": pa.array([], pa.int64()),
-            "__cnt": pa.array([], pa.int64()),
-            "__rt": pa.array([], pa.int8()),
-        })
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            return empty
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        colv = _order_np(batch, col)
-        tbv = _order_np(batch, tiebreak)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        ends = np.concatenate([starts[1:], [n]])
-        seg_ids = np.cumsum(newseg) - 1
         g = len(starts)
-        local_rank = np.arange(n) - starts[seg_ids]
+        cnt = np.diff(np.append(starts, n))
+        v = _np(pc.cast(batch[col], pa.float64()))
+        inner = starts[1:g - 1]
+        rows, qv, val = [], [], []
+        for q in qlist:
+            lo, hi, fr = targets(cnt[1:g - 1], q)
+            rows.append(inner + lo)
+            qv.append(np.full(len(inner), q_out(q)))
+            val.append(value_at(v[inner + lo], v[inner + hi], lo, hi, fr))
+        m = len(inner) * len(qlist)
+        e = np.nonzero((seg_ids == 0) | (seg_ids == g - 1))[0]
+        has_next = np.append(seg_ids[1:] == seg_ids[:-1], False)[e]
+        nxt = np.append(v[1:], 0.0)[e]
+        cidx = np.unique(starts[[0, g - 1]])
+        return (np.concatenate(rows + [e]), {
+            "q": pa.array(np.concatenate(qv + [np.zeros(len(e))]),
+                          pa.float64(), mask=np.arange(m + len(e)) >= m),
+            "value": pa.array(np.concatenate(val + [v[e]]), pa.float64()),
+            "__vn": pa.array(np.concatenate([np.zeros(m), nxt]),
+                             pa.float64(), mask=np.concatenate(
+                                 [np.ones(m, bool), ~has_next])),
+            "__j": pa.array(np.concatenate(
+                [np.zeros(m, np.int64), e - starts[seg_ids[e]]])),
+        }, np.arange(m + len(e)) >= m, cidx, {
+            "value": pa.array(v[cidx], pa.float64()),
+            "__cnt": pa.array(cnt[seg_ids[cidx]], pa.int64())})
 
-        parts = [empty]
-        # interior segments: complete -> select target ranks in-block
-        if g > 2:
-            istarts, icounts = starts[1:g - 1], (ends - starts)[1:g - 1]
-            sel_pos, sel_q = [], []
-            for q in qlist:
-                tgt = np.maximum(
-                    np.ceil(q * icounts).astype(np.int64) - 1, 0)
-                sel_pos.append(istarts + tgt)
-                sel_q.append(np.full(len(istarts), q))
-            pos = np.concatenate(sel_pos)
-            qv = np.concatenate(sel_q)
-            rows = batch.take(pa.array(pos))
-            m = len(pos)
-            parts.append(pa.table({
-                key: rows[key],
-                "q": pa.array(qv, pa.float64()),
-                "value": pc.cast(rows[col], pa.float64()),
-                "__k": pa.array([""] * m, pa.string()),
-                "__col": pa.array(np.zeros(m, np.int64), at),
-                "__tb": pa.array(np.zeros(m, np.int64), bt),
-                "__rank": pa.array(np.zeros(m, np.int64)),
-                "__cnt": pa.array(np.zeros(m, np.int64)),
-                "__rt": pa.array(np.zeros(m, np.int8)),
-            }))
-        # edge segments: pending rows + one carry row per segment
-        edge_rows = np.nonzero((seg_ids == 0) | (seg_ids == g - 1))[0]
-        er = batch.take(pa.array(edge_rows))
-        m = len(edge_rows)
-        parts.append(pa.table({
-            key: er[key],
-            "q": pa.array(np.zeros(m), pa.float64()),
-            "value": pc.cast(er[col], pa.float64()),
-            "__k": pa.array(kk[edge_rows].tolist(), pa.string()),
-            "__col": pa.array(colv[edge_rows], at),
-            "__tb": pa.array(tbv[edge_rows], bt),
-            "__rank": pa.array(local_rank[edge_rows], pa.int64()),
-            "__cnt": pa.array(np.zeros(m, np.int64)),
-            "__rt": pa.array(np.ones(m, np.int8)),
-        }))
-        carry_ends = sorted({int(ends[0]) - 1, n - 1})
-        ce = batch.take(pa.array(carry_ends))
-        counts = [int((ends - starts)[seg_ids[e]]) for e in carry_ends]
-        mc = len(carry_ends)
-        parts.append(pa.table({
-            key: ce[key],
-            "q": pa.array(np.zeros(mc), pa.float64()),
-            "value": pc.cast(ce[col], pa.float64()),
-            "__k": pa.array(kk[carry_ends].tolist(), pa.string()),
-            "__col": pa.array(colv[carry_ends], at),
-            "__tb": pa.array(tbv[carry_ends], bt),
-            "__rank": pa.array(np.zeros(mc, np.int64)),
-            "__cnt": pa.array(counts, pa.int64()),
-            "__rt": pa.array(np.full(mc, 2, np.int8)),
-        }))
-        return pa.concat_tables(parts)
+    def fold(carries: pa.Table):
+        pre = np.concatenate([[0], np.cumsum(_np(carries["__cnt"]))])
+        total = np.array([pre[-1]])
+        tq, tlo, thi, tfr = [], [], [], []
+        for q in qlist:
+            lo, hi, fr = targets(total, q)
+            tq.append(q_out(q))
+            tlo.append(int(lo[0]))
+            thi.append(int(hi[0]))
+            tfr.append(float(fr[0]))
+        return pre, _np(carries["value"]), list(zip(tq, tlo, thi, tfr))
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        out = [kept.filter(pc.is_valid(kept["q"]))
+               .select([key, "q", "value"])]
+        v, j = _np(kept["value"]), _np(kept["__j"])
+        vn = _np(pc.fill_null(kept["__vn"], 0.0))
+        has_next = _np(pc.is_valid(kept["__vn"]))
+        take, qv, val = [], [], []
+        for rows, pos, (pre, firsts, tg) in groups:
+            rank = j[rows] + pre[pos]
+            for q, lo, hi, fr in tg:
+                hit = rank == lo
+                r = rows[hit]
+                nxt = np.where(has_next[r], vn[r], firsts[
+                    np.minimum(pos[hit] + 1, len(firsts) - 1)])
+                take.append(r)
+                qv.append(np.full(len(r), q))
+                val.append(value_at(v[r], nxt, lo, hi, fr))
+        if take:
+            r = np.concatenate(take)
+            out.append(pa.table({
+                key: kept[key].take(pa.array(r, pa.int64())),
+                "q": pa.array(np.concatenate(qv), pa.float64()),
+                "value": pa.array(np.concatenate(val), pa.float64())}))
+        return pa.concat_tables(out)
 
-    # driver: fold the <= 2 carries per block into per-key totals +
-    # prefix counts (boundary order = (col, tb) of each segment end);
-    # the __rt filter runs DISTRIBUTED so only carry rows cross over
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        for r in kept.to_pylist():
-            carry.setdefault(r["__k"], []).append(
-                (r["__col"], r["__tb"], r["__cnt"]))
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort()
-        last_a = np.array([a for a, _, _ in segs])
-        last_b = np.array([b for _, b, _ in segs])
-        pre_c = np.concatenate([[0], np.cumsum(
-            [c for _, _, c in segs])]).astype(np.int64)
-        total = int(pre_c[-1])
-        tg = targets_of(total)
-        tranks = np.array(sorted(tg), dtype=np.int64)
-        tqs = [tg[t] for t in sorted(tg)]
-        offsets[kval] = (last_a, last_b, pre_c, tranks, tqs)
-
-    import ray
-
-    handle = ray.put(offsets)
-    out_names = [key, "q", "value"]
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        final = batch.filter(pc.equal(batch["__rt"], 0)) \
-            .select(out_names)
-        pend = batch.filter(pc.equal(batch["__rt"], 1))
-        if pend.num_rows == 0:
-            return final
-        offs = ray.get(handle)
-        kk = pend["__k"].combine_chunks().to_numpy(zero_copy_only=False)
-        colb = pend["__col"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        tbb = pend["__tb"].combine_chunks().to_numpy(zero_copy_only=False)
-        lrank = pend["__rank"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        take_idx, take_q = [], []
-        for kval in np.unique(kk):
-            if kval not in offs:
-                continue
-            last_a, last_b, pre_c, tranks, tqs = offs[kval]
-            rows = np.nonzero(kk == kval)[0]
-            pos = _boundaries_before(last_a, last_b, colb[rows],
-                                     tbb[rows])
-            grank = lrank[rows] + pre_c[pos]
-            hit = np.searchsorted(tranks, grank)
-            ok = (hit < len(tranks)) & (tranks[np.minimum(
-                hit, len(tranks) - 1)] == grank)
-            for i in np.nonzero(ok)[0]:
-                for q in tqs[hit[i]]:
-                    take_idx.append(int(rows[i]))
-                    take_q.append(q)
-        if not take_idx:
-            return final
-        sel = pend.take(pa.array(take_idx, pa.int64()))
-        picked = pa.table({
-            key: sel[key],
-            "q": pa.array(take_q, pa.float64()),
-            "value": sel["value"],
-        })
-        return pa.concat_tables([final, picked])
-
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return sorted_carry(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        [key], [col, tiebreak], op, scan, fold, resolve)
 
 
 def grouped_mode(ds, key: str, col: str):
@@ -1298,7 +941,7 @@ def lag_column(ds, key, ts: str, value: str, tiebreak: str,
     per key (numeric/temporal only, same contract as
     :func:`cumulative_sum`).
 
-    Shape: :func:`_sorted_carry` with a per-block vectorized shift
+    Shape: :func:`sorted_carry` with a per-block vectorized shift
     per key segment and ONE carry row per block (its last row) —
     only each block's FIRST row can have a cross-block predecessor,
     and the globally sorted order makes that predecessor the latest
@@ -1348,13 +991,14 @@ def _shift_column(ds, key, ts: str, value: str, tiebreak: str,
         pend = np.zeros(n, bool)
         pend[n - 1 if forward else 0] = True
         c = 0 if forward else n - 1
-        return {out: shifted}, pend, [c], {out: varr.slice(c, 1)}
+        return None, {out: shifted}, pend, [c], {out: varr.slice(c, 1)}
 
-    return _sorted_carry(
-        ds, keys, ts, tiebreak, "lead_column" if forward else "lag_column",
-        scan, lambda kept, groups: _fill_from_carries(
-            kept, groups, out, forward),
-        lambda t: t[out].to_pylist(), forward=forward)
+    return sorted_carry(
+        ds, keys, [ts, tiebreak],
+        "lead_column" if forward else "lag_column", scan,
+        lambda t: t[out].to_pylist(),
+        lambda kept, groups: _fill_from_carries(kept, groups, out, forward),
+        forward=forward)
 
 
 def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
@@ -1362,273 +1006,26 @@ def grouped_quantiles_cont(ds, key: str, col: str, qs, tiebreak: str):
     ``quantile_cont(col, q) GROUP BY key`` convention: with the
     group's n non-null values sorted, ``h = (n - 1) * q``,
     ``value = v[floor(h)] + (v[ceil(h)] - v[floor(h)]) * (h -
-    floor(h))``. Returns ``(key, q, value)`` rows.
+    floor(h))``. Returns ``(key, q, value)`` rows, ``q`` rounded to
+    six decimals.
 
-    Shape: the :func:`grouped_exact_quantiles` machinery — one
-    null-safe range-partitioned sort on ``(key, col, tiebreak)``,
-    complete interior segments resolve in-block, first/last segments
-    emit O(n_blocks) carry rows folded into per-key prefix counts on
-    the driver and broadcast back — except each q now SELECTS up to
-    two ranks (floor/ceil of h). Selected rows become mergeable
-    partial rows ``(key, q, v_lo | v_hi, frac)`` (the two ranks of
-    one q can land in different blocks), combined by ONE final
-    groupby over output-sized partials. ``tiebreak`` must make
-    ``(col, tiebreak)`` unique within a key (rank bookkeeping needs a
-    total order; the interpolated value itself is tie-insensitive).
+    Shape: :func:`_grouped_quantiles` — each q SELECTS up to two
+    adjacent ranks (floor/ceil of h); when they fall in different
+    blocks the floor row reads the ceil value from the next piece's
+    carried first value. ``tiebreak`` must make ``(col, tiebreak)``
+    unique within a key (rank bookkeeping needs a total order; the
+    interpolated value itself is tie-insensitive).
     """
     import math
 
-    from ray.data.aggregate import Max
+    def targets(cnt, q):
+        h = (cnt - 1) * q
+        lo = np.floor(h).astype(np.int64)
+        return lo, np.ceil(h).astype(np.int64), h - lo
 
-    from .relational import null_safe_grouped_aggregate, null_safe_sort
-
-    qlist = sorted(set(float(q) for q in qs))
-    if not qlist:
-        raise ValueError("qs must be non-empty")
-    if qlist[0] < 0.0 or qlist[-1] > 1.0:
-        raise ValueError(f"quantiles must lie in [0, 1], got {qlist}")
-    qi_of = {q: int(math.floor(q * 1e6 + 0.5)) for q in qlist}
-
-    def prep(batch: pa.Table) -> pa.Table:
-        for c in (col, tiebreak):
-            if _is_str(batch[c].type):
-                raise ValueError(
-                    f"grouped_quantiles_cont: column {c!r} is a"
-                    " string; only numeric/temporal value/tiebreak"
-                    " columns carry across block boundaries")
-        return batch.select([key, col, tiebreak]) \
-            .filter(pc.is_valid(batch[col]))
-
-    sorted_ds = null_safe_sort(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), [key], [col, tiebreak])
-
-    def targets_of(n: int) -> dict:
-        """rank -> list of (qi, is_hi, frac)."""
-        out: dict = {}
-        for q in qlist:
-            h = (n - 1) * q
-            lo = int(math.floor(h))
-            hi = int(math.ceil(h))
-            frac = h - lo
-            out.setdefault(lo, []).append((qi_of[q], False, frac))
-            if hi > lo:
-                out.setdefault(hi, []).append((qi_of[q], True, frac))
-        return out
-
-    def _empty(ktype, at, bt) -> pa.Table:
-        return pa.table({
-            key: pa.array([], ktype),
-            "__qi": pa.array([], pa.int64()),
-            "__vlo": pa.array([], pa.float64()),
-            "__vhi": pa.array([], pa.float64()),
-            "__frac": pa.array([], pa.float64()),
-            "__k": pa.array([], pa.string()),
-            "__col": pa.array([], at),
-            "__tb": pa.array([], bt),
-            "__rank": pa.array([], pa.int64()),
-            "__cnt": pa.array([], pa.int64()),
-            "__rt": pa.array([], pa.int8()),
-        })
-
-    def scan(batch: pa.Table) -> pa.Table:
-        ktype = batch[key].type
-        at = _anchor_pa_type(batch[col].type)
-        bt = _anchor_pa_type(batch[tiebreak].type)
-        empty = _empty(ktype, at, bt)
-        n = batch.num_rows
-        if n == 0:
-            return empty
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        colv = _order_np(batch, col)
-        tbv = _order_np(batch, tiebreak)
-        vals = pc.cast(batch[col], pa.float64())
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        vnp = vals.to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        ends = np.concatenate([starts[1:], [n]])
-        seg_ids = np.cumsum(newseg) - 1
-        g = len(starts)
-        local_rank = np.arange(n) - starts[seg_ids]
-
-        parts = [empty]
-        # interior segments are complete: both ranks of every q
-        # resolve in-block into ONE partial row carrying v_lo AND v_hi
-        if g > 2:
-            istarts = starts[1:g - 1]
-            icounts = (ends - starts)[1:g - 1]
-            sel_key, sel_qi, sel_lo, sel_hi, sel_fr = [], [], [], [], []
-            for q in qlist:
-                h = (icounts - 1) * q
-                lo = np.floor(h).astype(np.int64)
-                hi = np.ceil(h).astype(np.int64)
-                fr = h - lo
-                sel_key.append(istarts)
-                sel_qi.append(np.full(len(istarts), qi_of[q], np.int64))
-                sel_lo.append(vnp[istarts + lo])
-                sel_hi.append(vnp[istarts + hi])
-                sel_fr.append(fr)
-            pos = np.concatenate(sel_key)
-            m = len(pos)
-            rows = batch.take(pa.array(pos))
-            parts.append(pa.table({
-                key: rows[key],
-                "__qi": pa.array(np.concatenate(sel_qi)),
-                "__vlo": pa.array(np.concatenate(sel_lo), pa.float64()),
-                "__vhi": pa.array(np.concatenate(sel_hi), pa.float64()),
-                "__frac": pa.array(np.concatenate(sel_fr), pa.float64()),
-                "__k": pa.array([""] * m, pa.string()),
-                "__col": pa.array(np.zeros(m, np.int64), at),
-                "__tb": pa.array(np.zeros(m, np.int64), bt),
-                "__rank": pa.array(np.zeros(m, np.int64)),
-                "__cnt": pa.array(np.zeros(m, np.int64)),
-                "__rt": pa.array(np.zeros(m, np.int8)),
-            }))
-        # edge segments: pending rows + one carry row per segment
-        edge_rows = np.nonzero((seg_ids == 0) | (seg_ids == g - 1))[0]
-        er = batch.take(pa.array(edge_rows))
-        m = len(edge_rows)
-        parts.append(pa.table({
-            key: er[key],
-            "__qi": pa.array(np.zeros(m, np.int64)),
-            "__vlo": pa.array(vnp[edge_rows], pa.float64()),
-            "__vhi": pa.array(np.full(m, np.nan), pa.float64(),
-                              mask=np.ones(m, bool)),
-            "__frac": pa.array(np.zeros(m), pa.float64()),
-            "__k": pa.array(kk[edge_rows].tolist(), pa.string()),
-            "__col": pa.array(colv[edge_rows], at),
-            "__tb": pa.array(tbv[edge_rows], bt),
-            "__rank": pa.array(local_rank[edge_rows], pa.int64()),
-            "__cnt": pa.array(np.zeros(m, np.int64)),
-            "__rt": pa.array(np.ones(m, np.int8)),
-        }))
-        carry_ends = sorted({int(ends[0]) - 1, n - 1})
-        ce = batch.take(pa.array(carry_ends))
-        counts = [int((ends - starts)[seg_ids[e]]) for e in carry_ends]
-        mc = len(carry_ends)
-        parts.append(pa.table({
-            key: ce[key],
-            "__qi": pa.array(np.zeros(mc, np.int64)),
-            "__vlo": pa.array(vnp[carry_ends], pa.float64()),
-            "__vhi": pa.array(np.full(mc, np.nan), pa.float64(),
-                              mask=np.ones(mc, bool)),
-            "__frac": pa.array(np.zeros(mc), pa.float64()),
-            "__k": pa.array(kk[carry_ends].tolist(), pa.string()),
-            "__col": pa.array(colv[carry_ends], at),
-            "__tb": pa.array(tbv[carry_ends], bt),
-            "__rank": pa.array(np.zeros(mc, np.int64)),
-            "__cnt": pa.array(counts, pa.int64()),
-            "__rt": pa.array(np.full(mc, 2, np.int8)),
-        }))
-        return pa.concat_tables(parts)
-
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carry: dict = {}
-    for kept in scanned.map_batches(carry_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        for r in kept.to_pylist():
-            carry.setdefault(r["__k"], []).append(
-                (r["__col"], r["__tb"], r["__cnt"]))
-    offsets = {}
-    for kval, segs in carry.items():
-        segs.sort()
-        last_a = np.array([a for a, _, _ in segs])
-        last_b = np.array([b for _, b, _ in segs])
-        pre_c = np.concatenate([[0], np.cumsum(
-            [c for _, _, c in segs])]).astype(np.int64)
-        total = int(pre_c[-1])
-        tg = targets_of(total)
-        tranks = np.array(sorted(tg), dtype=np.int64)
-        tspecs = [tg[t] for t in sorted(tg)]
-        offsets[kval] = (last_a, last_b, pre_c, tranks, tspecs)
-
-    import ray
-
-    handle = ray.put(offsets)
-    part_names = [key, "__qi", "__vlo", "__vhi", "__frac"]
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        final = batch.filter(pc.equal(batch["__rt"], 0)) \
-            .select(part_names)
-        pend = batch.filter(pc.equal(batch["__rt"], 1))
-        if pend.num_rows == 0:
-            return final
-        offs = ray.get(handle)
-        kk = pend["__k"].combine_chunks().to_numpy(zero_copy_only=False)
-        colb = pend["__col"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        tbb = pend["__tb"].combine_chunks().to_numpy(zero_copy_only=False)
-        lrank = pend["__rank"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        take_idx, take_qi, take_hi, take_fr = [], [], [], []
-        for kval in np.unique(kk):
-            if kval not in offs:
-                continue
-            last_a, last_b, pre_c, tranks, tspecs = offs[kval]
-            rows = np.nonzero(kk == kval)[0]
-            pos = _boundaries_before(last_a, last_b, colb[rows],
-                                     tbb[rows])
-            grank = lrank[rows] + pre_c[pos]
-            hit = np.searchsorted(tranks, grank)
-            ok = (hit < len(tranks)) & (tranks[np.minimum(
-                hit, len(tranks) - 1)] == grank)
-            for i in np.nonzero(ok)[0]:
-                for qi, is_hi, frac in tspecs[hit[i]]:
-                    take_idx.append(int(rows[i]))
-                    take_qi.append(qi)
-                    take_hi.append(is_hi)
-                    take_fr.append(frac)
-        if not take_idx:
-            return final
-        sel = pend.take(pa.array(take_idx, pa.int64()))
-        v = sel["__vlo"].combine_chunks().to_numpy(zero_copy_only=False)
-        is_hi = np.array(take_hi, bool)
-        picked = pa.table({
-            key: sel[key],
-            "__qi": pa.array(take_qi, pa.int64()),
-            "__vlo": pa.array(v, pa.float64(), mask=is_hi),
-            "__vhi": pa.array(v, pa.float64(), mask=~is_hi),
-            "__frac": pa.array(take_fr, pa.float64()),
-        })
-        return pa.concat_tables([final, picked])
-
-    partials = scanned.map_batches(resolve, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    merged = null_safe_grouped_aggregate(
-        partials, [key, "__qi"],
-        [Max("__vlo", alias_name="__vlo"),
-         Max("__vhi", alias_name="__vhi"),
-         Max("__frac", alias_name="__frac")],
-        ["__vlo", "__vhi", "__frac"])
-
-    def project(batch: pa.Table) -> pa.Table:
-        qi = batch["__qi"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        vlo = batch["__vlo"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.float64)
-        # a block whose __vhi is all NULL can come out of the
-        # multi-block aggregate typed null: cast before the fill
-        vhi = _np(pc.fill_null(pc.cast(batch["__vhi"], pa.float64()),
-                               np.nan))
-        fr = batch["__frac"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        val = np.where(np.isnan(vhi), vlo, vlo + (vhi - vlo) * fr)
-        return pa.table({
-            key: batch[key],
-            "q": pa.array(qi / 1e6, pa.float64()),
-            "value": pa.array(val, pa.float64()),
-        })
-
-    return merged.map_batches(project, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return _grouped_quantiles(
+        ds, key, col, qs, tiebreak, "grouped_quantiles_cont", targets,
+        lambda q: math.floor(q * 1e6 + 0.5) / 1e6)
 
 
 def stratified_sample(ds, key: str, id_column: str, k: int,
@@ -1722,17 +1119,8 @@ def grouped_string_agg(ds, key: str, ord_col: str, val_col: str,
 
     def piece(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if n == 0:
-            return pa.table({
-                key: pa.array([], batch[key].type),
-                "__ord0": pa.array([], _anchor_pa_type(
-                    batch[ord_col].type)),
-                "__piece": pa.array([], pa.string()),
-            })
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        ordv = _order_np(batch, ord_col)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
+        ordv = order_np(batch, ord_col)
+        starts = np.nonzero(key_segments(batch, [key]))[0]
         vals = batch[val_col].combine_chunks()
         if pa.types.is_large_string(vals.type):
             offs = np.append(starts, n).astype(np.int64)
@@ -1788,9 +1176,9 @@ def trailing_concat(ds, key, ts: str, value: str, tiebreak: str,
     over an empty frame is NULL). ``(key, ts, tiebreak)`` must be
     unique per row; ``ts``/``tiebreak`` must be numeric/temporal
     (their values stitch windows across block boundaries, exactly:
-    see :func:`_sorted_carry`).
+    see :func:`sorted_carry`).
 
-    Shape: :func:`_sorted_carry`. Each block builds every row's
+    Shape: :func:`sorted_carry`. Each block builds every row's
     window VECTORIZED — a flat gather of at most ``k * n`` child
     indices into one list-array ``pc.binary_join`` — and only rows in
     the block's FIRST key segment with fewer than ``k`` in-block
@@ -1859,7 +1247,7 @@ def trailing_concat(ds, key, ts: str, value: str, tiebreak: str,
                  for lo, hi in zip(bounds[:-1], bounds[1:])
                  if hi > lo])
         cidx = np.arange(max(int(starts[-1]), n - k), n)
-        return ({out: ctx, out_n: pa.array(win_len)},
+        return (None, {out: ctx, out_n: pa.array(win_len)},
                 (seg_ids == 0) & (win_len < k), cidx,
                 {out: pc.cast(vals.take(pa.array(cidx)), pa.string())})
 
@@ -1878,12 +1266,12 @@ def trailing_concat(ds, key, ts: str, value: str, tiebreak: str,
                 cnt[i] += take
         if not rows:
             return kept
-        kept = _replace_rows(kept, out, rows, pa.array(texts, pa.string()))
+        kept = replace_rows(kept, out, rows, pa.array(texts, pa.string()))
         return kept.set_column(kept.column_names.index(out_n), out_n,
                                pa.array(cnt))
 
-    return _sorted_carry(ds, keys, ts, tiebreak, "trailing_concat", scan,
-                         resolve, lambda t: t[out].to_pylist())
+    return sorted_carry(ds, keys, [ts, tiebreak], "trailing_concat", scan,
+                        lambda t: t[out].to_pylist(), resolve)
 
 
 def cap_per_group(ds, keys: List[str], id_column: str, k: int,
@@ -2120,7 +1508,7 @@ def grouped_forward_fill(ds, key, ts: str, value: str, tiebreak: str,
     states fill as naturally as numerics). Rows before a key's first
     non-null stay NULL.
 
-    Shape: :func:`_sorted_carry` with a per-block vectorized fill —
+    Shape: :func:`sorted_carry` with a per-block vectorized fill —
     ONE global max-accumulate of last-valid indices, with a
     segment-start comparison masking cross-key leakage (no per-
     segment Python) — and <= 1 carry row per block, the LAST non-null
@@ -2143,13 +1531,13 @@ def grouped_forward_fill(ds, key, ts: str, value: str, tiebreak: str,
             pa.array(ok), varr.take(pa.array(np.maximum(li, 0))),
             pa.scalar(None, varr.type))
         cidx = [li[-1]] if li[-1] >= starts[-1] else []
-        return {out: filled}, (seg_ids == 0) & ~ok, cidx, \
+        return None, {out: filled}, (seg_ids == 0) & ~ok, cidx, \
             {out: varr.take(pa.array(cidx, pa.int64()))}
 
-    return _sorted_carry(
-        ds, keys, ts, tiebreak, "grouped_forward_fill", scan,
-        lambda kept, groups: _fill_from_carries(kept, groups, out, False),
-        lambda t: t[out].to_pylist())
+    return sorted_carry(
+        ds, keys, [ts, tiebreak], "grouped_forward_fill", scan,
+        lambda t: t[out].to_pylist(),
+        lambda kept, groups: _fill_from_carries(kept, groups, out, False))
 
 
 def grouped_linear_interpolate(ds, key, ts: str, value: str,

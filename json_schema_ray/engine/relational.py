@@ -18,6 +18,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .sorted_scan import (_is_string_type, _zero_scalar,
+                          decode_null_safe_keys, encode_null_safe_keys,
+                          null_safe_sort)
+
 
 def safe_groupby_aggregate(t: pa.Table, keys, spec):
     """Drop-in for ``pa.TableGroupBy(t, keys).aggregate(spec)``
@@ -1462,48 +1466,6 @@ def splitmix64_sql(expr: str, seed: int = 0) -> str:
     return f"xor({s4}, {s4} >> 31)"
 
 
-def _is_string_type(t: pa.DataType) -> bool:
-    return pa.types.is_string(t) or pa.types.is_large_string(t)
-
-
-def encode_null_safe_keys(batch: pa.Table, keys: List[str]) -> pa.Table:
-    """Replace the grouping-key columns with shuffle-safe ``__gs{i}``
-    columns: STRING keys (which Ray's sort-based shuffle cannot order
-    when null) become an invertible prefixed encoding — null -> "n",
-    value -> "v" + value (total order, bijective) — while other types
-    alias through zero-copy. The originals are dropped so the
-    exchange ships exactly one column per key; ``decode`` inverts by
-    TYPE (a string ``__gs{i}`` is always an encoding)."""
-    out = batch
-    for i, k in enumerate(keys):
-        col = out[k]
-        if _is_string_type(col.type):
-            joined = pc.binary_join_element_wise("v", col, "")
-            d = pc.if_else(pc.is_null(col), pa.scalar("n"), joined)
-        else:
-            d = col
-        out = out.append_column(f"__gs{i}", d)
-    return out.drop_columns(list(keys))
-
-
-def decode_null_safe_keys(batch: pa.Table, keys: List[str],
-                          out_columns: List[str]) -> pa.Table:
-    """Invert :func:`encode_null_safe_keys` and project
-    ``keys + out_columns`` in order."""
-    cols = {}
-    for i, k in enumerate(keys):
-        d = batch[f"__gs{i}"]
-        if _is_string_type(d.type):
-            cols[k] = pc.if_else(
-                pc.equal(d, "n"), pa.scalar(None, pa.string()),
-                pc.utf8_slice_codeunits(d, 1))
-        else:
-            cols[k] = d
-    for c in out_columns:
-        cols[c] = batch[c]
-    return pa.table(cols)
-
-
 def null_safe_grouped_aggregate(partial_ds, keys: List[str], agg_objs,
                                 out_columns: List[str]):
     """Ray ``groupby(keys).aggregate(...)`` that tolerates null keys
@@ -1526,95 +1488,6 @@ def null_safe_grouped_aggregate(partial_ds, keys: List[str], agg_objs,
 
     return grouped.map_batches(decode, batch_format="pyarrow",
                                zero_copy_batch=True)
-
-
-def _zero_scalar(t: pa.DataType):
-    if pa.types.is_boolean(t):
-        return pa.scalar(False, t)
-    if _is_string_type(t):
-        return pa.scalar("", t)
-    return pa.scalar(0, t)
-
-
-def null_safe_sort(ds, keys: List[str], tail: List[str]):
-    """Range-partitioned sort tolerating null values in ANY sort
-    column. String keys travel as the invertible prefixed encoding;
-    every other key gains an ``__gs{i}f`` is-null flag (int8, sorted
-    BEFORE the value at that key level) and its nulls filled with a
-    type-zero — Ray's range-partitioned sort DUPLICATES rows
-    nondeterministically when a sort column contains nulls (observed
-    on nullable int64 and timestamp KEYS: 800-row inputs returned
-    830-930 rows varying run to run, and — round 4 — on a nullable
-    timestamp TAIL: 2,245-row inputs returned 2,462/2,631/2,510 rows
-    on 3 of 12 trials), so NO sort column may reach the exchange
-    nullable. Tail columns therefore get the same ``__gt{i}f``
-    flag + type-zero fill treatment, sorted (flag, value) so nulls
-    rank LAST within equal keys — exactly the NULLS-LAST tail order
-    rank callers rely on — and ``decode`` restores the original
-    nullable tail values."""
-    group_cols = [f"__gs{i}" for i in range(len(keys))]
-
-    def encode(batch: pa.Table) -> pa.Table:
-        out = encode_null_safe_keys(batch, keys)
-        # EVERY key/tail gains a flag so the sort-column list is
-        # static (no lazy schema() peek, which would execute the
-        # upstream); for string keys the prefixed encoding is already
-        # non-null, so its flag is constant 0 and order is unchanged
-        for i in range(len(keys)):
-            c = f"__gs{i}"
-            col = out[c]
-            flag = pc.cast(pc.is_null(col), pa.int8())
-            filled = col if _is_string_type(col.type) else \
-                pc.fill_null(col, _zero_scalar(col.type))
-            out = out.set_column(out.column_names.index(c), c,
-                                 filled) \
-                .append_column(f"__gs{i}f", flag)
-        for i, c in enumerate(tail):
-            col = out[c]
-            flag = pc.cast(pc.is_null(col), pa.int8())
-            out = out.set_column(
-                out.column_names.index(c), c,
-                pc.fill_null(col, _zero_scalar(col.type))) \
-                .append_column(f"__gt{i}f", flag)
-        return out
-
-    sort_cols: List[str] = []
-    for i in range(len(keys)):
-        sort_cols += [f"__gs{i}f", f"__gs{i}"]
-    for i, c in enumerate(tail):
-        sort_cols += [f"__gt{i}f", c]
-
-    def decode(batch: pa.Table) -> pa.Table:
-        out = batch
-        for i in range(len(keys)):
-            f = f"__gs{i}f"
-            c = f"__gs{i}"
-            col = out[c]
-            if not _is_string_type(col.type):
-                restored = pc.if_else(
-                    pc.equal(out[f], pa.scalar(1, pa.int8())),
-                    pa.scalar(None, col.type), col)
-                out = out.set_column(out.column_names.index(c), c,
-                                     restored)
-            out = out.drop_columns([f])
-        for i, c in enumerate(tail):
-            f = f"__gt{i}f"
-            col = out[c]
-            restored = pc.if_else(
-                pc.equal(out[f], pa.scalar(1, pa.int8())),
-                pa.scalar(None, col.type), col)
-            out = out.set_column(out.column_names.index(c), c,
-                                 restored) \
-                .drop_columns([f])
-        others = [c for c in out.column_names
-                  if c not in group_cols]
-        return decode_null_safe_keys(out, keys, others)
-
-    return ds.map_batches(encode, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .sort(sort_cols) \
-        .map_batches(decode, batch_format="pyarrow",
-                     zero_copy_batch=True)
 
 
 def heavy_hitters(ds, column: str, min_count: int,
@@ -2008,15 +1881,14 @@ def grouped_distinct_count(ds, key: str, col: str):
 
 
 def grouped_distinct_count_sorted(ds, key: str, col: str):
-    """Exact ``count(DISTINCT col) GROUP BY key``, sort-based: ONE
-    null-safe range-partitioned sort on ``(key, col)`` makes each
-    key's values contiguous and ordered, so a vectorized
-    adjacent-inequality pass counts distinct values per segment
-    exactly. Key segments wholly inside a block finalize there; the
-    first/last segment of each block emits a fixed-size carry row
-    ``(key, first_value, last_value, n_distinct)`` and the driver
-    stitches the O(n_blocks) carries — two adjacent segments of one
-    key merge by subtracting 1 when the boundary values are equal.
+    """Exact ``count(DISTINCT col) GROUP BY key``, sort-based:
+    :func:`.sorted_scan.stitch` on ``(key, col)`` makes each key's
+    values contiguous and ordered, so a vectorized adjacent-inequality
+    pass counts distinct values per segment exactly. Key segments
+    wholly inside a block finalize there; the first/last segment of
+    each block is a piece ``(n_distinct, first_value, last_value)``,
+    and the driver stitches a key's O(n_blocks) pieces — two adjacent
+    pieces merge by subtracting 1 when the boundary values are equal.
 
     vs :func:`grouped_distinct_count`: same result, ONE all-to-all
     instead of two, and no reliance on (key, value)-pair combining —
@@ -2024,96 +1896,45 @@ def grouped_distinct_count_sorted(ds, key: str, col: str):
     pair combiner would barely reduce). NULL values don't count; NULL
     keys form their own group. Returns (key, n_distinct).
     """
-    from .rank import _group_key_expr
+    from .sorted_scan import _np, stitch
 
     def prep(batch: pa.Table) -> pa.Table:
         return batch.select([key, col]) \
             .filter(pc.is_valid(batch[col]))
 
-    sorted_ds = null_safe_sort(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), [key], [col])
-
-    def scan(batch: pa.Table) -> pa.Table:
-        ktype, vtype = batch[key].type, batch[col].type
-        empty = pa.table({
-            key: pa.array([], ktype),
-            "n_distinct": pa.array([], pa.int64()),
-            "__first": pa.array([], vtype),
-            "__last": pa.array([], vtype),
-            "__edge": pa.array([], pa.bool_()),
-        })
+    def pieces(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            return empty
-        kk = _group_key_expr(batch, [key]).to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        ends = np.concatenate([starts[1:], [n]])
-        seg_ids = np.cumsum(newseg) - 1
-        varr = batch[col]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
-        # adjacent-distinct within the sorted block: a row opens a new
-        # value run iff it starts a segment or differs from its
-        # predecessor
+        ends = np.append(starts[1:], n)
+        varr = batch[col].combine_chunks()
+        # a row opens a new value run iff it starts a segment or
+        # differs from its predecessor
         neq = pc.fill_null(pc.not_equal(varr.slice(1), varr.slice(
             0, n - 1)), True).to_numpy(zero_copy_only=False)
-        new_run = np.concatenate([[True], neq]) | newseg
+        new_run = np.concatenate([[True], neq])
+        new_run[starts] = True
         runs = np.cumsum(new_run)
         n_distinct = runs[ends - 1] - runs[starts] + 1
-        g = len(starts)
-        edge = np.zeros(g, dtype=bool)
-        edge[0] = edge[g - 1] = True
-        return pa.table({
-            key: batch[key].take(pa.array(starts)),
+        edge = np.zeros(len(starts), bool)
+        edge[[0, -1]] = True
+        return starts, {
             "n_distinct": pa.array(n_distinct, pa.int64()),
             "__first": varr.take(pa.array(starts)),
-            "__last": varr.take(pa.array(ends - 1)),
-            "__edge": pa.array(edge),
-        })
+            "__last": varr.take(pa.array(ends - 1))}, edge
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def merge(carries: pa.Table):
+        # value ranges are sorted within a key, so block order is
+        # (first, last) order
+        t = carries.sort_by([("__first", "ascending"),
+                             ("__last", "ascending")])
+        first, last = t["__first"].to_pylist(), t["__last"].to_pylist()
+        total = int(_np(t["n_distinct"]).sum()) - sum(
+            1 for a, b in zip(last, first[1:]) if a == b)
+        return [(0, {"n_distinct": total})]
 
-    def interior(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(batch["__edge"])) \
-            .select([key, "n_distinct"])
-
-    interior_ds = scanned.map_batches(interior, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-
-    def edge_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch["__edge"])
-
-    edge: dict = {}
-    for kept in scanned.map_batches(edge_only, batch_format="pyarrow",
-                                    zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        for r in kept.to_pylist():
-            edge.setdefault(
-                (r[key] is None, r[key]), []).append(
-                (r["__first"], r["__last"], r["n_distinct"]))
-
-    rows = []
-    for (kn, kval), segs in edge.items():
-        segs.sort(key=lambda s: (s[0], s[1]))
-        total = sum(s[2] for s in segs)
-        for prev, nxt in zip(segs[:-1], segs[1:]):
-            if prev[1] == nxt[0]:  # same value spans the boundary
-                total -= 1
-        rows.append((kval, total))
-
-    import ray
-
-    if not rows:
-        return interior_ds
-    ktype = scanned.schema().base_schema.field(key).type
-    extra = pa.table({
-        key: pa.array([r[0] for r in rows], ktype),
-        "n_distinct": pa.array([r[1] for r in rows], pa.int64()),
-    })
-    return interior_ds.union(ray.data.from_arrow(extra))
+    return stitch(ds.map_batches(prep, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                  [key], [col], "grouped_distinct_count_sorted", pieces,
+                  merge, [key, "n_distinct"])
 
 
 def melt(ds, id_cols: List[str], value_cols: List[str],
@@ -2843,15 +2664,17 @@ def grouped_agg_sorted(ds, key: str, value: str, agg: str = "sum",
     pre-aggregate path can't express TPC-H Q18-style gates.
 
     Scale shape: per-block partials combine first (a hot key ships
-    <= 1 row per block), ONE null-safe range-partitioned sort
-    co-locates each key's partials, interior key segments finalize
-    vectorized in-block (np ``reduceat``), and only each block's
-    first/last segment — O(blocks) fixed-size carry rows — stitches
-    driver-side. ``value`` must already be integer (the house
+    <= 1 row per block), then :func:`.sorted_scan.stitch` on ``key``:
+    interior key segments finalize vectorized in-block (np
+    ``reduceat``), and only each block's first/last segment —
+    O(blocks) fixed-size pieces — merges driver-side and is emitted
+    once. ``value`` must already be integer (the house
     int64-fixed-point-before-sum discipline; per-key sum(|v|) must
     stay < 2^63). NULL values drop (SQL aggregate semantics); NULL
     keys form their own group. Returns a Dataset of (key, out),
     group-sized (post-HAVING when ``having_min`` is given)."""
+    from .sorted_scan import _np, stitch
+
     if agg not in ("sum", "max", "min"):
         raise ValueError(f"agg must be sum|max|min, got {agg!r}")
     out = out or f"{value}_{agg}"
@@ -2870,69 +2693,26 @@ def grouped_agg_sorted(ds, key: str, value: str, agg: str = "sum",
                          "__v": pc.cast(g[f"{value}_{agg}"],
                                         pa.int64())})
 
-    sorted_ds = null_safe_sort(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True), [key], [])
+    def passes(v):
+        return having_min is None or v >= int(having_min)
 
-    def scan(batch: pa.Table) -> pa.Table:
-        from .rank import _group_key_expr
-        ktype = batch[key].type
-        empty = pa.table({key: pa.array([], ktype),
-                          out: pa.array([], pa.int64()),
-                          "__edge": pa.array([], pa.bool_())})
-        n = batch.num_rows
-        if n == 0:
-            return empty
-        kk = _group_key_expr(batch, [key]) \
-            .to_numpy(zero_copy_only=False)
-        newseg = np.concatenate([[True], kk[1:] != kk[:-1]])
-        starts = np.nonzero(newseg)[0]
-        v = batch["__v"].combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        totals = reducer.reduceat(v, starts)
-        g = len(starts)
-        edge = np.zeros(g, dtype=bool)
-        edge[0] = edge[g - 1] = True
-        return pa.table({
-            key: batch[key].take(pa.array(starts)),
-            out: pa.array(totals, pa.int64()),
-            "__edge": pa.array(edge)})
+    def pieces(batch: pa.Table, seg_ids, starts):
+        totals = reducer.reduceat(_np(batch["__v"]).astype(np.int64),
+                                  starts)
+        edge = np.zeros(len(starts), bool)
+        edge[[0, -1]] = True
+        keep = edge | passes(totals)
+        return starts[keep], {out: pa.array(totals[keep], pa.int64())}, \
+            edge[keep]
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def merge(carries: pa.Table):
+        total = int(reducer.reduce(_np(carries[out])))
+        return [(0, {out: total})] if passes(total) else []
 
-    def interior(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.invert(batch["__edge"]))
-        if having_min is not None:
-            t = t.filter(pc.greater_equal(t[out],
-                                          pa.scalar(int(having_min))))
-        return t.select([key, out])
-
-    interior_ds = scanned.map_batches(interior, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-
-    merge = {"sum": lambda a, b: a + b, "max": max,
-             "min": min}[agg]
-    edge: dict = {}
-    for kept in scanned.map_batches(
-            lambda b: b.filter(b["__edge"]), batch_format="pyarrow",
-            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
-        for r in kept.to_pylist():
-            k = (r[key] is None, r[key])
-            edge[k] = r[out] if k not in edge \
-                else merge(edge[k], r[out])
-
-    import ray
-
-    rows = [(kv, t) for (_, kv), t in edge.items()
-            if having_min is None or t >= int(having_min)]
-    if not rows:
-        return interior_ds
-    ktype = scanned.schema().base_schema.field(key).type
-    extra = pa.table({
-        key: pa.array([r[0] for r in rows], ktype),
-        out: pa.array([r[1] for r in rows], pa.int64())})
-    return interior_ds.union(ray.data.from_arrow(extra))
+    return stitch(ds.map_batches(partial, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                  [key], [], "grouped_agg_sorted", pieces, merge,
+                  [key, out])
 
 
 def grouped_distinct_sum_sorted(ds, key: str, sub: str,
@@ -2947,129 +2727,36 @@ def grouped_distinct_sum_sorted(ds, key: str, sub: str,
     of per-group interpreter work; the same pathology
     ``grouped_agg_sorted`` exists for).
 
-    Scale shape: per-block ``(key, sub)`` combiners first (a hot
-    pair ships <= 1 row per block), ONE range-partitioned sort on
-    ``(key, sub)`` co-locates each key's pairs in sub order,
-    interior key segments finalize vectorized in-block (np
-    ``reduceat`` over pair-change markers), and only each block's
-    first/last segment — O(blocks) fixed-size carry rows, each
-    carrying its first/last sub so a pair straddling blocks is never
-    double-counted — stitches driver-side. ``HAVING n_distinct >=
-    having_min_distinct`` applies only AFTER full aggregation
-    (interior segments are complete by construction; edges filter
-    post-stitch). Requires NON-NULL integer ``key``/``sub`` columns
-    (raise otherwise — callers hash/encode first, the house int64
+    Shape: :func:`grouped_multi_agg_sorted` with one sum measure and
+    ``distinct_sub=sub`` — per-block ``(key, sub)`` combiners, ONE
+    sort on ``(key, sub)``, interior key segments final in-block,
+    O(blocks) edge pieces carrying their first/last sub so a pair
+    straddling blocks is never double-counted. ``HAVING n_distinct >=
+    having_min_distinct`` applies only AFTER full aggregation.
+    Requires NON-NULL integer ``key``/``sub`` columns (raise
+    otherwise — callers hash/encode first, the house int64
     discipline); ``value`` (optional) must be integer, summed
     exactly; absent means COUNT(*). Returns a Dataset of
     ``(key, out_distinct, out_sum)``, group-sized post-HAVING."""
-    import ray
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "__one", pa.array(np.ones(batch.num_rows, np.int64)))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cols = [key, sub] + ([value] if value else [])
-        t = batch.select(cols)
-        for c in (key, sub):
-            f = t.schema.field(c)
-            if not pa.types.is_integer(f.type):
-                raise ValueError(
-                    f"grouped_distinct_sum_sorted: {c} must be an "
-                    f"integer column, got {f.type}")
-            if t[c].null_count:
-                raise ValueError(
-                    f"grouped_distinct_sum_sorted: {c} contains "
-                    "nulls; encode them to a sentinel first")
-        if value is None:
-            t = t.append_column("__v", pa.array(
-                np.ones(t.num_rows, np.int64)))
-            vcol = "__v"
-        else:
-            if not pa.types.is_integer(t.schema.field(value).type):
-                raise ValueError(
-                    "grouped_distinct_sum_sorted: value must be "
-                    f"integer fixed-point, got {t.schema.field(value).type}")
-            vcol = value
-        g = safe_groupby_aggregate(t.select([key, sub, vcol]),
-                                   [key, sub], [(vcol, "sum")])
-        return pa.table({key: pc.cast(g[key], pa.int64()),
-                         sub: pc.cast(g[sub], pa.int64()),
-                         "__v": pc.cast(g[f"{vcol}_sum"], pa.int64())})
+    sums = grouped_multi_agg_sorted(
+        ds if value else ds.map_batches(ones, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+        key, [(value or "__one", "sum", out_sum)], distinct_sub=sub,
+        out_distinct=out_distinct)
 
-    sorted_ds = ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .sort([key, sub])
+    def having(batch: pa.Table) -> pa.Table:
+        out = batch.select([key, out_distinct, out_sum])
+        if having_min_distinct is None:
+            return out
+        return out.filter(pc.greater_equal(
+            out[out_distinct], pa.scalar(int(having_min_distinct))))
 
-    def scan(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            key: pa.array([], pa.int64()),
-            out_distinct: pa.array([], pa.int64()),
-            out_sum: pa.array([], pa.int64()),
-            "__fs": pa.array([], pa.int64()),
-            "__ls": pa.array([], pa.int64()),
-            "__edge": pa.array([], pa.bool_())})
-        n = batch.num_rows
-        if n == 0:
-            return empty
-        k = batch[key].combine_chunks().to_numpy(zero_copy_only=False)
-        s = batch[sub].combine_chunks().to_numpy(zero_copy_only=False)
-        v = batch["__v"].combine_chunks().to_numpy(zero_copy_only=False)
-        newk = np.concatenate([[True], k[1:] != k[:-1]])
-        newpair = np.concatenate(
-            [[True], (k[1:] != k[:-1]) | (s[1:] != s[:-1])])
-        kstarts = np.nonzero(newk)[0]
-        nd = np.add.reduceat(newpair.astype(np.int64), kstarts)
-        ns = np.add.reduceat(v, kstarts)
-        g = len(kstarts)
-        kends = np.concatenate([kstarts[1:] - 1, [n - 1]])
-        edge = np.zeros(g, dtype=bool)
-        edge[0] = edge[g - 1] = True
-        return pa.table({
-            key: pa.array(k[kstarts]),
-            out_distinct: pa.array(nd),
-            out_sum: pa.array(ns),
-            "__fs": pa.array(s[kstarts]),
-            "__ls": pa.array(s[kends]),
-            "__edge": pa.array(edge)})
-
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    def interior(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.invert(batch["__edge"]))
-        if having_min_distinct is not None:
-            t = t.filter(pc.greater_equal(
-                t[out_distinct], pa.scalar(int(having_min_distinct))))
-        return t.select([key, out_distinct, out_sum])
-
-    interior_ds = scanned.map_batches(interior, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-
-    edge: dict = {}
-    for kept in scanned.map_batches(
-            lambda b: b.filter(b["__edge"]), batch_format="pyarrow",
-            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([kept]) \
-            if isinstance(kept, pa.RecordBatch) else kept
-        for r in t.to_pylist():
-            edge.setdefault(r[key], []).append(
-                (r["__fs"], r["__ls"], r[out_distinct], r[out_sum]))
-
-    rows = []
-    for kv, parts in edge.items():
-        # sub ranges are globally sorted within a key, so block order
-        # == (first_sub, last_sub) order; a pair straddling B blocks
-        # appears as B adjacent partials sharing boundary subs
-        parts.sort(key=lambda p: (p[0], p[1]))
-        nd = sum(p[2] for p in parts) - sum(
-            1 for a, b in zip(parts, parts[1:]) if a[1] == b[0])
-        ns = sum(p[3] for p in parts)
-        if having_min_distinct is None or nd >= int(having_min_distinct):
-            rows.append((kv, nd, ns))
-    if not rows:
-        return interior_ds
-    extra = pa.table({
-        key: pa.array([r[0] for r in rows], pa.int64()),
-        out_distinct: pa.array([r[1] for r in rows], pa.int64()),
-        out_sum: pa.array([r[2] for r in rows], pa.int64())})
-    return interior_ds.union(ray.data.from_arrow(extra))
+    return sums.map_batches(having, batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 def grouped_multi_agg_sorted(ds, key: str, specs,
@@ -3097,15 +2784,15 @@ def grouped_multi_agg_sorted(ds, key: str, specs,
     distinct count. The result gains an ``out_distinct`` column.
 
     Scale shape: identical to :func:`grouped_agg_sorted` — per-block
-    combiners, ONE range-partitioned sort on ``key``, ``reduceat``
-    interiors, O(blocks) first/last-segment carry rows stitched
-    driver-side — but every measure rides the same sort. Values may
+    combiners, then :func:`.sorted_scan.stitch` on ``key``:
+    ``reduceat`` interiors, O(blocks) first/last-segment pieces
+    stitched driver-side — but every measure rides the same sort. Values may
     be NULL (SQL semantics: ignored; an all-null group yields NULL —
     per-measure valid counts travel with the partials). ``key`` must
     be NON-NULL integer (callers encode strings/nulls first);
     values must be integer columns. Returns a Dataset of
     ``(key_out or key, *outs[, out_distinct])``, group-sized."""
-    import ray
+    from .sorted_scan import _np, stitch
 
     _identity = {"sum": 0,
                  "min": (1 << 63) - 1,
@@ -3151,56 +2838,51 @@ def grouped_multi_agg_sorted(ds, key: str, specs,
                 g[f"__c_{out}_sum"], pa.int64())
         return pa.table(cols)
 
-    sorted_ds = ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True).sort(group_cols)
-
-    def scan(batch: pa.Table) -> pa.Table:
-        cols = {key: pa.array([], pa.int64())}
-        for _c, _a, out in specs:
-            cols[f"__v_{out}"] = pa.array([], pa.int64())
-            cols[f"__c_{out}"] = pa.array([], pa.int64())
-        if distinct_sub:
-            cols[out_distinct] = pa.array([], pa.int64())
-            cols["__fs"] = pa.array([], pa.int64())
-            cols["__ls"] = pa.array([], pa.int64())
-        cols["__edge"] = pa.array([], pa.bool_())
-        n = batch.num_rows
-        if n == 0:
-            return pa.table(cols)
-        k = batch[key].combine_chunks().to_numpy(zero_copy_only=False)
-        newk = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.nonzero(newk)[0]
-        g = len(starts)
-        edge = np.zeros(g, dtype=bool)
-        edge[0] = edge[g - 1] = True
-        cols = {key: pa.array(k[starts])}
-        for col, agg, out in specs:
-            v = batch[f"__v_{out}"].combine_chunks()
-            vc = batch[f"__c_{out}"].combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            filled = pc.fill_null(v, _identity[agg]) \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
+    def pieces(batch: pa.Table, seg_ids, starts):
+        edge = np.zeros(len(starts), bool)
+        edge[[0, -1]] = True
+        cols = {}
+        for _c, agg, out in specs:
+            filled = _np(pc.fill_null(batch[f"__v_{out}"],
+                                      _identity[agg])).astype(np.int64)
             cols[f"__v_{out}"] = pa.array(
                 _reducer[agg].reduceat(filled, starts))
-            cols[f"__c_{out}"] = pa.array(np.add.reduceat(vc, starts))
+            cols[f"__c_{out}"] = pa.array(
+                np.add.reduceat(_np(batch[f"__c_{out}"]), starts))
         if distinct_sub:
-            s = batch[distinct_sub].combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            newpair = np.concatenate(
-                [[True], (k[1:] != k[:-1]) | (s[1:] != s[:-1])])
-            counted = newpair.astype(np.int64)
+            s = _np(batch[distinct_sub])
+            counted = np.concatenate([[True], s[1:] != s[:-1]])
+            counted[starts] = True
             if distinct_ignore is not None:
-                counted = counted * (s != distinct_ignore)
-            kends = np.concatenate([starts[1:] - 1, [n - 1]])
+                counted &= s != distinct_ignore
             cols[out_distinct] = pa.array(
-                np.add.reduceat(counted, starts))
+                np.add.reduceat(counted.astype(np.int64), starts))
             cols["__fs"] = pa.array(s[starts].astype(np.int64))
-            cols["__ls"] = pa.array(s[kends].astype(np.int64))
-        cols["__edge"] = pa.array(edge)
-        return pa.table(cols)
+            cols["__ls"] = pa.array(
+                s[np.append(starts[1:], len(s)) - 1].astype(np.int64))
+        return starts, cols, edge
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def merge(carries: pa.Table):
+        vals = {}
+        for _c, agg, out in specs:
+            vals[f"__v_{out}"] = int(
+                _reducer[agg].reduce(_np(carries[f"__v_{out}"])))
+            vals[f"__c_{out}"] = int(_np(carries[f"__c_{out}"]).sum())
+        if distinct_sub:
+            # sub ranges are globally sorted within a key, so block
+            # order == (first_sub, last_sub) order; a pair straddling
+            # B blocks appears as B adjacent pieces sharing boundary
+            # subs — an ignored-sentinel boundary was counted by
+            # neither side, so it never subtracts
+            t = carries.sort_by([("__fs", "ascending"),
+                                 ("__ls", "ascending")])
+            fs, ls = _np(t["__fs"]), _np(t["__ls"])
+            dup = ls[:-1] == fs[1:]
+            if distinct_ignore is not None:
+                dup &= ls[:-1] != distinct_ignore
+            vals[out_distinct] = int(_np(t[out_distinct]).sum()
+                                     - dup.sum())
+        return [(0, vals)]
 
     def finish(t: pa.Table) -> pa.Table:
         cols = {key_out: t[key]}
@@ -3212,56 +2894,10 @@ def grouped_multi_agg_sorted(ds, key: str, specs,
             cols[out_distinct] = pc.cast(t[out_distinct], pa.int64())
         return pa.table(cols)
 
-    def interior(batch: pa.Table) -> pa.Table:
-        return finish(batch.filter(pc.invert(batch["__edge"])))
-
-    interior_ds = scanned.map_batches(interior, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-
-    edge: dict = {}
-    for kept in scanned.map_batches(
-            lambda b: b.filter(b["__edge"]), batch_format="pyarrow",
-            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([kept]) \
-            if isinstance(kept, pa.RecordBatch) else kept
-        for r in t.to_pylist():
-            edge.setdefault(r[key], []).append(r)
-
-    if not edge:
-        return interior_ds
-    merge_fn = {"sum": lambda a, b: a + b, "min": min, "max": max}
-    rows = []
-    for kv in sorted(edge):
-        parts = edge[kv]
-        acc = {}
-        for r in parts:
-            for _c, agg, out in specs:
-                v, c = r[f"__v_{out}"], r[f"__c_{out}"]
-                pv, pcnt = acc.get(out, (_identity[agg], 0))
-                acc[out] = (merge_fn[agg](pv, v), pcnt + c)
-        row = {key_out: kv}
-        for _c, _a, out in specs:
-            row[out] = acc[out][0] if acc[out][1] > 0 else None
-        if distinct_sub:
-            # sub ranges are globally sorted within a key, so block
-            # order == (first_sub, last_sub) order; a pair straddling
-            # B blocks appears as B adjacent partials sharing
-            # boundary subs (grouped_distinct_sum_sorted's stitch) —
-            # an ignored-sentinel boundary was counted by neither
-            # side, so it never subtracts
-            parts.sort(key=lambda p: (p["__fs"], p["__ls"]))
-            nd = sum(p[out_distinct] for p in parts) - sum(
-                1 for a, b in zip(parts, parts[1:])
-                if a["__ls"] == b["__fs"]
-                and (distinct_ignore is None
-                     or a["__ls"] != distinct_ignore))
-            row[out_distinct] = nd
-        rows.append(row)
-    extra_cols = {key_out: pa.array([r[key_out] for r in rows],
-                                    pa.int64())}
-    for _c, _a, out in specs:
-        extra_cols[out] = pa.array([r[out] for r in rows], pa.int64())
-    if distinct_sub:
-        extra_cols[out_distinct] = pa.array(
-            [r[out_distinct] for r in rows], pa.int64())
-    return interior_ds.union(ray.data.from_arrow(pa.table(extra_cols)))
+    measures = [f"__{p}_{out}" for out in outs for p in "vc"]
+    return stitch(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        [key], group_cols[1:], "grouped_multi_agg_sorted", pieces, merge,
+        [key] + measures + ([out_distinct] if distinct_sub else [])) \
+        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)

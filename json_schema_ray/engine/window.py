@@ -1,25 +1,27 @@
 """Windowed / sessionized aggregates.
 
-Sessionization scale shape (same pattern as turn-ordering checks in
-``keys.py``): ONE range-partitioned sort on ``(key, ts)`` co-locates
-and orders each entity's timeline, then a vectorized adjacent-diff
-pass over sorted batches emits final counts for every key that lies
-wholly inside a batch and a MERGEABLE PARTIAL — one fixed-size
-(n_events, n_sessions, first_ts, last_ts) row — for the first/last
-key of each batch (the ones that can straddle a block boundary).
-The partial stitch holds at most 2 rows per block, so driver memory
-is O(n_blocks) and independent of any single key's event count,
-Zipf-hot keys included. No per-group Python (``map_groups``)
-anywhere: at 10^8 users the per-group task overhead would dominate
-the actual arithmetic.
+The sorted operators run on :mod:`.sorted_scan`, which owns the sort,
+the null-safe key-segment test and the carry round-trip; NULL keys
+form one partition (SQL PARTITION BY), and no per-group Python
+(``map_groups``) runs except for the boundary groups of
+``pack_items``.
 
-The RANGE-frame windowed sum (``range_windowed_sum``) has the same
-shape: one sort on ``(key, ts)``, one two-pointer scan per sorted
-block over its ``(key, ts)`` runs, and a window-tail carry. Each
-block ships its first run and the runs of its last key segment
-inside one window, three numbers per run, so driver memory is bounded
-by the block boundaries' keys and one window each, never by a key's
-full timeline.
+- Sessions (``sessionize_counts``, ``session_table``) share one scan
+  and one stitch: each sorted block splits its key segments at the
+  gaps into fixed-size (first_ts, last_ts, n_events, n_sessions)
+  pieces, every piece but the block's first and last is final, and
+  those two merge per key on the driver — O(n_blocks) state,
+  independent of any single key's event count, Zipf-hot keys
+  included.
+- ``densify_gaps`` expands the gaps between adjacent rows in the
+  scan and the gap across a block boundary in the resolve, from each
+  block's carried last period.
+- The RANGE-frame windowed sum (``range_windowed_sum``) runs one
+  two-pointer scan per sorted block over its ``(key, ts)`` runs, and
+  a window-tail carry: each block ships its first run and the runs
+  of its last key segment inside one window, three numbers per run,
+  so driver memory is bounded by the block boundaries' keys and one
+  window each, never by a key's full timeline.
 """
 
 from __future__ import annotations
@@ -28,27 +30,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
 from .relational import _int64_us
-
-
-def _same_adjacent_keys(col) -> np.ndarray:
-    """Null-safe adjacent-equality for a sorted key column, as a
-    bool[n-1] numpy mask: NULL == NULL, because SQL PARTITION BY
-    groups null keys together — a numpy ``==`` on the converted
-    array would turn nullable-int nulls into NaN and split every
-    null-key row into its own segment."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    if n <= 1:
-        return np.zeros(0, bool)
-    a, b = col.slice(1), col.slice(0, n - 1)
-    eq = pc.fill_null(pc.equal(a, b), False) \
-        .to_numpy(zero_copy_only=False)
-    both_null = pc.and_(pc.is_null(a), pc.is_null(b)) \
-        .to_numpy(zero_copy_only=False)
-    return eq | both_null
+from .sorted_scan import (_np, carry_scan, key_segments, sorted_carry,
+                          stitch)
 
 
 _I64_MIN = np.iinfo(np.int64).min
@@ -108,27 +92,28 @@ def range_windowed_sum(ds, key: str, ts: str, value: str, window,
     whole number of ticks raises) or an integer column counted in
     microseconds.
 
-    Shape — ONE null-safe sort on ``(key, ts)`` over the input rows,
-    then one scan per sorted block: equal ``(key, ts)`` collapse into
-    runs, prefix sums run over the runs, and one ``searchsorted`` on
-    ``(key segment, ts ticks)`` finds each run's frame start (the
-    first run after ``ts - window - 1``), so a run's frame is a
-    difference of two prefix sums. Only runs whose frame can cross
-    the block boundary are left pending: runs of the block's first
-    key segment whose frame reaches the block start, and the block's
-    last run (its peers may continue in the next block).
+    Shape — :func:`.sorted_scan.sorted_carry` on ``(key, ts)`` over
+    the input rows, one scan per sorted block: equal ``(key, ts)``
+    collapse into runs, prefix sums run over the runs, and one
+    ``searchsorted`` on ``(key segment, ts ticks)`` finds each run's
+    frame start (the first run after ``ts - window - 1``), so a run's
+    frame is a difference of two prefix sums. Only runs whose frame
+    can cross the block boundary are left pending: runs of the
+    block's first key segment whose frame reaches the block start,
+    and the block's last run (its peers may continue in the next
+    block).
 
     Carry: each block ships its first run and the runs of its last
     key segment inside one window of its last ``ts``, as ``(ts, sum,
     count)``. The driver folds them into per-key prefix sums over
-    ``ts`` and broadcasts them with ``ray.put``; a pending run adds
-    the carried sum over ``(ts - window - 1, ts]`` less its own
-    block's share. A ``(key, ts)`` run split across blocks is emitted
-    once, by the lowest block id that holds it, with all its peers
-    counted. Driver memory is bounded by the block boundaries: each
-    boundary's key contributes its runs inside one window, three
-    numbers per run (a hot key with a window wider than a block
-    ships that block's whole segment) — never a full timeline.
+    ``ts``; a pending run adds the carried sum over ``(ts - window -
+    1, ts]`` less its own block's share. A ``(key, ts)`` run split
+    across blocks is emitted once, by the lowest block id that holds
+    it, with all its peers counted. Driver memory is bounded by the
+    block boundaries: each boundary's key contributes its runs inside
+    one window, three numbers per run (a hot key with a window wider
+    than a block ships that block's whole segment) — never a full
+    timeline.
 
     Exactness: with ``scale`` set, each value quantizes to
     ``floor(v * scale + 0.5)`` BEFORE any summation (the repo's
@@ -141,8 +126,6 @@ def range_windowed_sum(ds, key: str, ts: str, value: str, window,
     ``scale`` the sum is raw float64 prefix differences (last-ulp
     sensitive vs direct-summation oracles)."""
     import datetime
-
-    from .relational import null_safe_sort
 
     win_us = int(window.total_seconds() * 1_000_000) \
         if isinstance(window, datetime.timedelta) else int(window)
@@ -157,60 +140,45 @@ def range_windowed_sum(ds, key: str, ts: str, value: str, window,
             v = pc.floor(pc.add(pc.multiply(v, float(scale)), 0.5))
         return pa.table({key: batch[key], ts: batch[ts], "__v": v})
 
-    sorted_ds = null_safe_sort(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), [key], [ts])
-    return _range_frames(sorted_ds, key, ts, "__v", win_us, out,
-                         cnt_out, as_int=scale is not None)
+    return sorted_carry(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        [key], [ts], "range_windowed_sum",
+        *_range_parts(key, ts, "__v", win_us, out, cnt_out,
+                      scale is not None))
 
 
 def _range_frames(sorted_ds, key: str, ts: str, value: str,
                   win_us: int, out: str, cnt_out: str,
                   as_int: bool = False):
-    """The scan, carry and resolve of :func:`range_windowed_sum`
-    over a dataset already sorted by ``(key, ts)`` with NULLS LAST,
-    whose blocks are contiguous slices of that order (any slicing:
-    a ``(key, ts)`` run may span blocks, blocks may be empty).
-    ``as_int`` casts the sums to int64."""
-    import uuid
+    """:func:`range_windowed_sum` over a dataset already sorted by
+    ``(key, ts)`` with NULLS LAST, whose blocks are contiguous slices
+    of that order (any slicing: a ``(key, ts)`` run may span blocks,
+    blocks may be empty). ``as_int`` casts the sums to int64."""
+    return carry_scan(sorted_ds, [key], [ts], "range_windowed_sum",
+                      *_range_parts(key, ts, value, win_us, out,
+                                    cnt_out, as_int))
 
-    import ray
 
-    from .rank import _group_key_expr
+def _range_parts(key: str, ts: str, value: str, win_us: int, out: str,
+                 cnt_out: str, as_int: bool):
+    """The scan, fold and resolve of :func:`range_windowed_sum`."""
 
-    # __rt: 0 = final run, 1 = pending run, 2 = pending run at a block
-    # edge (its peers may sit in other blocks), 3 = carried run,
-    # 4 = carried run at a block edge
-    def with_aux(tab: pa.Table, fs, fc, rt, blk: int) -> pa.Table:
-        return tab.select([key, ts]) \
-            .append_column("__s", pa.array(fs, pa.float64())) \
-            .append_column("__c", pa.array(fc, pa.int64())) \
-            .append_column("__rt", pa.array(rt, pa.int8())) \
-            .append_column("__blk", pa.array(np.full(len(rt), blk),
-                                             pa.int64()))
-
-    def scan(batch: pa.Table) -> pa.Table:
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            # a sorted block can be empty, even of columns
-            if key not in batch.column_names:
-                return batch
-            return with_aux(batch, [], [], [], 0)
         win_ticks = _window_ticks(batch[ts].type, win_us)
         tick, tnull = _ticks_np(batch[ts])
         varr = pc.cast(batch[value], pa.float64()).combine_chunks()
         valid = pc.is_valid(varr).to_numpy(zero_copy_only=False)
         v = pc.fill_null(varr, 0.0).to_numpy(zero_copy_only=False)
         # runs of equal (key, ts), NULL ts equal to NULL ts
-        same_k = _same_adjacent_keys(batch[key])
+        same_k = seg_ids[1:] == seg_ids[:-1]
         same_t = (tick[1:] == tick[:-1]) & (tnull[1:] == tnull[:-1])
         rstart = np.concatenate(
             [[0], np.nonzero(~(same_k & same_t))[0] + 1])
         nr = len(rstart)
         s = np.add.reduceat(v, rstart)
         c = np.add.reduceat(valid.astype(np.int64), rstart)
-        seg = np.cumsum(np.concatenate(
-            [[True], ~same_k[rstart[1:] - 1]])) - 1
+        seg = seg_ids[rstart]
         rtick, rnull = tick[rstart], tnull[rstart]
         # frame start: the first run of the same key segment after
         # ts - window - 1. NULL ts sort last in their segment (as the
@@ -229,9 +197,10 @@ def _range_frames(sorted_ds, key: str, ts: str, value: str,
         fs = P[idx + 1] - P[start]
         fc = C[idx + 1] - C[start]
         # pending: first-segment runs whose frame reaches the block
-        # start, and the edge runs
-        rt = np.where((seg == 0) & (start == 0), 1, 0).astype(np.int8)
-        rt[0] = rt[-1] = 2
+        # start, and the edge runs (their peers may sit in other
+        # blocks)
+        edge = (idx == 0) | (idx == nr - 1)
+        pend = ((seg == 0) & (start == 0)) | edge
         # carried: run 0 plus the last run's frame, [tail, nr). The
         # resolve adds the carried sum of every block, this one
         # included, so take this block's carried runs inside [start,
@@ -243,225 +212,136 @@ def _range_frames(sorted_ds, key: str, ts: str, value: str,
         first = (start == 0) & (tail > 0)
         own_s += np.where(first, s[0], 0.0)
         own_c += np.where(first, c[0], 0)
-        pend = rt > 0
         fs[pend] -= own_s[pend]
         fc[pend] -= own_c[pend]
-        # map_batches cannot see block order; the id only has to tell
-        # blocks apart (random, non-negative int64)
-        blk = uuid.uuid4().int >> 65
-        runs = batch.take(pa.array(rstart))
         cidx = np.union1d([0], np.arange(tail, nr))
-        crt = np.where((cidx == 0) | (cidx == nr - 1), 4, 3)
-        return pa.concat_tables([
-            with_aux(runs, fs, fc, rt, blk),
-            with_aux(runs.take(pa.array(cidx)), s[cidx], c[cidx], crt,
-                     blk)])
+        return rstart, {
+            "__s": pa.array(fs, pa.float64()),
+            "__c": pa.array(fc, pa.int64()),
+            "__edge": pa.array(edge)}, pend, rstart[cidx], {
+            "__s": pa.array(s[cidx], pa.float64()),
+            "__c": pa.array(c[cidx], pa.int64()),
+            "__edge": pa.array((cidx == 0) | (cidx == nr - 1))}
 
-    scanned = sorted_ds.map_batches(scan, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-
-    # carried runs only: the filter runs distributed, so full blocks
-    # never reach the driver
-    def carry_only(batch: pa.Table) -> pa.Table:
-        if "__rt" not in batch.column_names:
-            return batch
-        return batch.filter(pc.greater_equal(batch["__rt"], 3))
-
-    parts = [b for b in scanned.map_batches(
-        carry_only, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow") if b.num_rows]
-    carried: dict = {}
-    holder: dict = {}
-    if parts:
-        ct = pa.concat_tables(parts)
-        kk = _group_key_expr(ct, [key]).to_numpy(zero_copy_only=False)
-        _, kcode = np.unique(kk, return_inverse=True)
-        tick, tnull = _ticks_np(ct[ts])
-        order = np.lexsort((tick, tnull, kcode))
-        kk, kcode, tick, tnull = (a[order] for a in
-                                  (kk, kcode, tick, tnull))
-        s = ct["__s"].to_numpy()[order]
-        c = ct["__c"].to_numpy()[order]
-        bounds = np.nonzero(np.concatenate(
-            [[True], kcode[1:] != kcode[:-1], [True]]))[0]
-        # per key: non-null ts ascending with prefix sum and count,
-        # then the NULL-ts total
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            nn = a + int(np.count_nonzero(~tnull[a:b]))
-            carried[kk[a]] = (
-                tick[a:nn],
-                np.concatenate([[0.0], np.cumsum(s[a:nn])]),
-                np.concatenate([[0], np.cumsum(c[a:nn])]),
-                float(s[nn:b].sum()), int(c[nn:b].sum()))
-        # a (key, ts) run at the edge of several blocks was split
-        # across them: the lowest block id emits it
-        edge = ct["__rt"].to_numpy()[order] == 4
+    def fold(carries: pa.Table):
+        # non-null ts ascending with prefix sum and count, then the
+        # NULL-ts total; a (key, ts) run at the edge of several blocks
+        # was split across them, and the lowest block id emits it
+        tick, tnull = _ticks_np(carries[ts])
+        s, c = _np(carries["__s"]), _np(carries["__c"])
+        nn = int(np.count_nonzero(~tnull))
         seen: dict = {}
-        for kv, t, tn, bk in zip(
-                kk[edge], tick[edge].tolist(), tnull[edge],
-                ct["__blk"].to_numpy()[order][edge].tolist()):
-            seen.setdefault((kv, None if tn else t), []).append(bk)
-        holder = {pk: min(bs) for pk, bs in seen.items()
-                  if len(bs) > 1}
+        edge = _np(carries["__edge"])
+        for t, tn, bk in zip(tick[edge].tolist(), tnull[edge],
+                             _np(carries["__blk"])[edge].tolist()):
+            seen.setdefault(None if tn else t, []).append(bk)
+        return (tick[:nn], np.concatenate([[0.0], np.cumsum(s[:nn])]),
+                np.concatenate([[0], np.cumsum(c[:nn])]),
+                float(s[nn:].sum()), int(c[nn:].sum()),
+                {t: min(bs) for t, bs in seen.items() if len(bs) > 1})
 
-    handle = ray.put((carried, holder))
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        if "__rt" not in batch.column_names:
-            return batch
-        batch = batch.filter(pc.less(batch["__rt"], 3))
-        rt = batch["__rt"].to_numpy()
-        fs = batch["__s"].to_numpy().copy()
-        fc = batch["__c"].to_numpy().copy()
-        keep = np.ones(batch.num_rows, bool)
-        pend = np.nonzero(rt > 0)[0]
-        if len(pend):
-            carry, split = ray.get(handle)
-            win_ticks = _window_ticks(batch[ts].type, win_us)
-            pb = batch.take(pa.array(pend))
-            kk = _group_key_expr(pb, [key]) \
-                .to_numpy(zero_copy_only=False)
-            tick, tnull = _ticks_np(pb[ts])
-            # a pending run is in its block's first key segment or is
-            # its last run, and both of those keys are carried
-            for kv in np.unique(kk):
-                cts, cs, cc, ns, nc = carry[kv]
-                m = kk == kv
-                t, tn = tick[m], tnull[m]
-                hi = np.searchsorted(cts, t, side="right")
-                lo = np.searchsorted(
-                    cts, _probe_ticks(t, win_ticks), side="right")
-                fs[pend[m]] += np.where(tn, ns, cs[hi] - cs[lo])
-                fc[pend[m]] += np.where(tn, nc, cc[hi] - cc[lo])
-            blk = batch["__blk"].to_numpy()
-            for j in np.nonzero(rt[pend] == 2)[0]:
-                i = pend[j]
-                pk = (kk[j], None if tnull[j] else int(tick[j]))
-                keep[i] = split.get(pk, blk[i]) == blk[i]
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        fs = _np(kept["__s"]).copy()
+        fc = _np(kept["__c"]).copy()
+        keep = np.ones(kept.num_rows, bool)
+        if groups:
+            win_ticks = _window_ticks(kept[ts].type, win_us)
+            tick, tnull = _ticks_np(kept[ts])
+            edge, blk = _np(kept["__edge"]), _np(kept["__blk"])
+        for rows, _, (cts, cs, cc, ns, nc, holder) in groups:
+            t, tn = tick[rows], tnull[rows]
+            hi = np.searchsorted(cts, t, side="right")
+            lo = np.searchsorted(cts, _probe_ticks(t, win_ticks),
+                                 side="right")
+            fs[rows] += np.where(tn, ns, cs[hi] - cs[lo])
+            fc[rows] += np.where(tn, nc, cc[hi] - cc[lo])
+            for i in rows[edge[rows]]:
+                pk = None if tnull[i] else int(tick[i])
+                keep[i] = holder.get(pk, blk[i]) == blk[i]
         win = pa.array(fs, pa.float64(), mask=(fc == 0))
         if as_int:
             # exact integer-valued floats -> int64 (round is a no-op
             # numerically; it guards the cast against -0.0 etc.)
             win = pc.cast(pc.round(win), pa.int64())
-        res = pa.table({key: batch[key], ts: batch[ts],
+        res = pa.table({key: kept[key], ts: kept[ts],
                         out: win, cnt_out: pa.array(fc, pa.int64())})
         return res if keep.all() else res.filter(pa.array(keep))
 
-    return scanned.map_batches(resolve, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    return scan, fold, resolve
 
 
 def sessionize_counts(ds, key: str = "user_id", ts: str = "ts",
                       gap_seconds: float = 1800.0):
     """Per-key session count: a new session starts when the gap
     between consecutive events exceeds ``gap_seconds`` (strictly).
-    Returns a Dataset of (key, n_events, n_sessions)."""
+    Returns a Dataset of (key, n_events, n_sessions). Shape:
+    :func:`_sessions` with one piece per key segment."""
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select([key, "n_events", "n_sessions"])
+
+    return _sessions(ds, key, ts, gap_seconds, False).map_batches(
+        project, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _sessions(ds, key: str, ts: str, gap_seconds: float,
+              per_session: bool):
+    """The scan and stitch shared by :func:`sessionize_counts` and
+    :func:`session_table`: :func:`.sorted_scan.stitch` on ``(key,
+    ts)``, NULL-ts rows dropped (an event without a timestamp cannot
+    be placed on a session timeline; pair with the engine's
+    null-fraction stats / required checks to surface them).
+
+    Each sorted block splits its key segments at gaps above
+    ``gap_seconds`` (adjacent-diff breaks) into pieces — one per
+    session with ``per_session``, else one per key segment — of
+    fixed size ``(first, last, n_events, n_sessions)``. Every piece
+    but the block's first and last is final. Those two are stitched
+    per key on the driver, in ts order: two ts-adjacent pieces whose
+    boundary gap is within ``gap_seconds`` join one session; without
+    ``per_session`` all of a key's pieces merge into one row. Driver
+    state is O(n_blocks) pieces, independent of key heat. NULL keys
+    form one group (SQL PARTITION BY). Returns ``(key, __first,
+    __last, n_events, n_sessions)``, timestamps in microseconds."""
     gap_us = gap_seconds * 1_000_000.0
-    from .relational import null_safe_sort
+    names = ["__first", "__last", "n_events", "n_sessions"]
 
     def drop_null_ts(batch: pa.Table) -> pa.Table:
-        # an event without a timestamp cannot be placed on a session
-        # timeline; excluded (documented semantics — pair with the
-        # engine's null-fraction stats / required checks to surface
-        # them)
         return batch.filter(pc.is_valid(batch[ts]))
 
-    proj = ds.select_columns([key, ts]).map_batches(
-        drop_null_ts, batch_format="pyarrow", zero_copy_batch=True)
-    sorted_ds = null_safe_sort(proj, [key], [ts])
-
-    def per_batch(batch: pa.Table) -> pa.Table:
+    def pieces(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        ktype = batch[key].type
-        empty = {
-            key: pa.array([], ktype),
-            "n_events": pa.array([], pa.int64()),
-            "n_sessions": pa.array([], pa.int64()),
-            "_edge": pa.array([], pa.bool_()),
-            "_first": pa.array([], pa.int64()),
-            "_last": pa.array([], pa.int64()),
-        }
-        if n == 0:
-            return pa.table(empty)
-        kcol = batch[key].combine_chunks()
         tsv = _int64_us(batch[ts]).to_numpy(zero_copy_only=False)
-        # one vectorized pass over the sorted block: per-key-segment
-        # event counts, session counts (adjacent-diff breaks), and
-        # first/last timestamps. Null-safe key comparison: NULL keys
-        # form ONE group (SQL PARTITION BY), not one group per row
-        same = _same_adjacent_keys(kcol)
-        change = np.nonzero(~same)[0] + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [n]])
-        brk = same & ((tsv[1:] - tsv[:-1]) > gap_us)
-        cs = np.concatenate([[0], np.cumsum(brk)])
-        # the block is sorted, so only its FIRST and LAST key segment
-        # can straddle a block boundary — those become mergeable
-        # partials; every other segment is complete (final row)
-        g = len(starts)
-        edge_g = np.zeros(g, dtype=bool)
-        edge_g[0] = edge_g[g - 1] = True
-        return pa.table({
-            key: kcol.take(pa.array(starts, pa.int64())),
-            "n_events": pa.array(ends - starts, pa.int64()),
-            "n_sessions": pa.array(1 + cs[ends - 1] - cs[starts],
-                                   pa.int64()),
-            "_edge": pa.array(edge_g),
-            "_first": pa.array(tsv[starts]),
-            "_last": pa.array(tsv[ends - 1]),
-        })
+        brk = np.concatenate([[True], (seg_ids[1:] != seg_ids[:-1])
+                              | ((tsv[1:] - tsv[:-1]) > gap_us)])
+        ps = np.nonzero(brk)[0] if per_session else starts
+        pe = np.append(ps[1:], n)
+        cs = np.cumsum(brk)
+        edge = np.zeros(len(ps), bool)
+        edge[[0, -1]] = True
+        vals = (tsv[ps], tsv[pe - 1], pe - ps, cs[pe - 1] - cs[ps] + 1)
+        return ps, {c: pa.array(v, pa.int64())
+                    for c, v in zip(names, vals)}, edge
 
-    parts = sorted_ds.map_batches(per_batch, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
+    def merge(carries: pa.Table):
+        # a key's pieces in ts order: by (first, last), as the blocks
+        # hold them up to boundary ties
+        first, last, n_ev, n_ss = (_np(carries[c]).tolist() for c in names)
+        groups = []
+        for i in np.lexsort((last, first)).tolist():
+            if groups and (first[i] - groups[-1][1][1] <= gap_us
+                           or not per_session):
+                cur = groups[-1][1]
+                joined = first[i] - cur[1] <= gap_us
+                cur[1] = max(cur[1], last[i])
+                cur[2] += n_ev[i]
+                cur[3] += n_ss[i] - joined
+            else:
+                groups.append((i, [first[i], last[i], n_ev[i], n_ss[i]]))
+        return [(i, dict(zip(names, g))) for i, g in groups]
 
-    # interior keys STAY a distributed Dataset. Block-boundary keys
-    # are stitched from MERGEABLE PARTIALS — one fixed-size row
-    # (n_events, n_sessions, first_ts, last_ts) per edge key per
-    # block, at most 2 per block — so driver memory is O(n_blocks)
-    # and INDEPENDENT of how many events a Zipf-hot key has: merging
-    # two adjacent segments only needs the boundary gap
-    # next.first - prev.last (<= gap joins the sessions).
-    def interior_only(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.invert(batch["_edge"]))
-        return kept.drop_columns(["_edge", "_first", "_last"])
-
-    interior = parts.map_batches(interior_only, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-
-    edge: dict = {}
-    for batch in parts.iter_batches(batch_format="pyarrow"):
-        em = batch["_edge"].to_numpy(zero_copy_only=False)
-        eidx = np.nonzero(em)[0]
-        if not len(eidx):
-            continue
-        sub = batch.take(pa.array(eidx))
-        for r in sub.to_pylist():
-            edge.setdefault(r[key], []).append(
-                (r["_first"], r["_last"], r["n_events"],
-                 r["n_sessions"]))
-    rows = []
-    for k, segs in sorted(edge.items(),
-                          key=lambda kv: (kv[0] is None, str(kv[0]))):
-        segs.sort()  # by (first_ts, last_ts): segments are disjoint
-        # in ts order within a key up to boundary ties
-        n_events = sum(s[2] for s in segs)
-        n_sessions = sum(s[3] for s in segs)
-        for prev, nxt in zip(segs[:-1], segs[1:]):
-            if (nxt[0] - prev[1]) <= gap_us:
-                n_sessions -= 1  # boundary gap joins the sessions
-        rows.append((k, n_events, n_sessions))
-
-    import ray
-
-    ktype = parts.schema().base_schema.field(key).type
-    edge_table = pa.table({
-        key: pa.array([r[0] for r in rows], ktype),
-        "n_events": pa.array([r[1] for r in rows], pa.int64()),
-        "n_sessions": pa.array([r[2] for r in rows], pa.int64()),
-    })
-    if edge_table.num_rows == 0:
-        return interior
-    return interior.union(ray.data.from_arrow(edge_table))
+    return stitch(ds.select_columns([key, ts]).map_batches(
+        drop_null_ts, batch_format="pyarrow", zero_copy_batch=True),
+        [key], [ts], "sessions", pieces, merge, [key] + names)
 
 
 def _hopping_assign(ts: str, window_seconds: int, hop_seconds: int):
@@ -631,8 +511,7 @@ def pack_items(ds, key: str, order: str, size: str, budget: int):
     any per-group map_groups stage; everything else never shuffles
     twice. Null ``order``/``size`` rows are dropped (they cannot be
     placed); null keys form their own group."""
-    from .relational import (decode_null_safe_keys,
-                             encode_null_safe_keys, null_safe_sort)
+    from .sorted_scan import group_key_expr, null_safe_sort
 
     def prep(batch: pa.Table) -> pa.Table:
         sel = batch.select([key, order, size])
@@ -645,24 +524,10 @@ def pack_items(ds, key: str, order: str, size: str, budget: int):
 
     def pack_block(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        ktype = batch[key].type
-        empty = pa.table({
-            key: pa.array([], ktype),
-            order: pa.array([], batch[order].type),
-            size: pa.array([], batch[size].type),
-            "bin": pa.array([], pa.int64()),
-            "_edge": pa.array([], pa.bool_()),
-        })
-        if n == 0:
-            return empty
-        enc = encode_null_safe_keys(batch, [key])
-        kk = enc["__gs0"].combine_chunks().to_numpy(
-            zero_copy_only=False)
         sizes = pc.cast(batch[size], pa.int64()).combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        change = np.nonzero(kk[1:] != kk[:-1])[0] + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [n]])
+        starts = np.nonzero(key_segments(batch, [key]))[0]
+        ends = np.append(starts[1:], n)
         g = len(starts)
         bins = np.zeros(n, dtype=np.int64)
         edge = np.zeros(n, dtype=bool)
@@ -689,11 +554,12 @@ def pack_items(ds, key: str, order: str, size: str, budget: int):
                                  zero_copy_batch=True)
 
     # boundary groups re-pack DISTRIBUTED: their rows (at most the
-    # first/last group of each block) shuffle once by encoded key and
-    # each group packs in one worker — never on the driver
+    # first/last group of each block) shuffle once by the non-null
+    # encoded key and each group packs in one worker — never on the
+    # driver
     def edge_only(batch: pa.Table) -> pa.Table:
         kept = batch.filter(batch["_edge"]).drop_columns(["_edge"])
-        return encode_null_safe_keys(kept, [key])
+        return kept.append_column("__k", group_key_expr(kept, [key]))
 
     edge_ds = parts.map_batches(edge_only, batch_format="pyarrow",
                                 zero_copy_batch=True)
@@ -703,13 +569,11 @@ def pack_items(ds, key: str, order: str, size: str, budget: int):
         group = group.take(idx)
         sizes = pc.cast(group[size], pa.int64()).combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        packed = group.set_column(
+        return group.set_column(
             group.schema.get_field_index("bin"), "bin",
-            pa.array(_greedy_bins(sizes, budget)))
-        return decode_null_safe_keys(packed, [key],
-                                     [order, size, "bin"])
+            pa.array(_greedy_bins(sizes, budget))).drop_columns(["__k"])
 
-    edge_packed = edge_ds.groupby("__gs0").map_groups(
+    edge_packed = edge_ds.groupby("__k").map_groups(
         pack_group, batch_format="pyarrow")
     return interior.union(edge_packed)
 
@@ -1141,113 +1005,22 @@ def session_table(ds, key: str = "user_id", ts: str = "ts",
     ``gap_seconds``. This is the table downstream session-duration /
     engagement analyses aggregate, not just the per-key counts.
 
-    Scale shape: ONE null-safe sort on (key, ts); within each sorted
-    block every session of an INTERIOR key segment — and every
-    boundary-UNTOUCHED session of an edge segment — finalizes
-    vectorized (adjacent-diff breaks, reduceat bounds). Only the
-    sessions actually touching a block boundary (<= 2 per block,
-    fixed-size (first, last, n) partials) stitch on the driver by
-    chain-merging ts-adjacent partials whose boundary gap <= gap —
-    O(n_blocks) driver state, independent of key heat. NULL-ts rows
-    drop (same documented semantics as sessionize_counts).
+    Shape: :func:`_sessions` with one piece per session — every
+    session that touches no block boundary is final in its block, and
+    only the <= 2 boundary sessions per block chain-merge on the
+    driver. NULL-ts rows drop (same documented semantics as
+    sessionize_counts).
     """
-    gap_us = gap_seconds * 1_000_000.0
-    from .relational import null_safe_sort
-
-    def drop_null_ts(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_valid(batch[ts]))
-
-    proj = ds.select_columns([key, ts]).map_batches(
-        drop_null_ts, batch_format="pyarrow", zero_copy_batch=True)
-    sorted_ds = null_safe_sort(proj, [key], [ts])
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ktype = batch[key].type
-        empty = {
-            key: pa.array([], ktype),
-            "session_start_us": pa.array([], pa.int64()),
-            "session_end_us": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "_edge": pa.array([], pa.bool_()),
-        }
-        if n == 0:
-            return pa.table(empty)
-        kcol = batch[key].combine_chunks()
-        tsv = _int64_us(batch[ts]).to_numpy(zero_copy_only=False)
-        # null-safe: NULL keys form ONE group (SQL PARTITION BY)
-        same = _same_adjacent_keys(kcol)
-        brk = ~same | ((tsv[1:] - tsv[:-1]) > gap_us)
-        s_starts = np.concatenate([[0], np.nonzero(brk)[0] + 1])
-        s_ends = np.concatenate([s_starts[1:], [n]])
-        # a session is boundary-exposed iff it contains the block's
-        # first row and its key segment could continue the previous
-        # block, or contains the last row and could continue into
-        # the next — i.e. exactly the first and last session rows
-        m = len(s_starts)
-        exposed = np.zeros(m, dtype=bool)
-        exposed[0] = exposed[m - 1] = True
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            key: kcol.take(pa.array(s_starts, pa.int64())),
-            "session_start_us": pa.array(tsv[s_starts]),
-            "session_end_us": pa.array(tsv[s_ends - 1]),
-            "n_events": pa.array(s_ends - s_starts, pa.int64()),
-            "_edge": pa.array(exposed),
-        })
+            key: batch[key], "session_start_us": batch["__first"],
+            "session_end_us": batch["__last"],
+            "n_events": batch["n_events"],
+            "duration_us": pc.subtract(batch["__last"],
+                                       batch["__first"])})
 
-    parts = sorted_ds.map_batches(per_batch, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-
-    def interior_only(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.invert(batch["_edge"]))
-        kept = kept.drop_columns(["_edge"])
-        dur = pc.subtract(kept["session_end_us"],
-                          kept["session_start_us"])
-        return kept.append_column("duration_us", dur)
-
-    interior = parts.map_batches(interior_only, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-
-    # boundary sessions: <= 2 fixed-size partial rows per block
-    edge: dict = {}
-    for batch in parts.iter_batches(batch_format="pyarrow"):
-        em = batch["_edge"].to_numpy(zero_copy_only=False)
-        eidx = np.nonzero(em)[0]
-        if not len(eidx):
-            continue
-        sub = batch.take(pa.array(eidx))
-        for r in sub.to_pylist():
-            edge.setdefault(r[key], []).append(
-                (r["session_start_us"], r["session_end_us"],
-                 r["n_events"]))
-    rows = []
-    for k, segs in sorted(edge.items(),
-                          key=lambda kv: (kv[0] is None, str(kv[0]))):
-        segs.sort()
-        cur = list(segs[0])
-        for nxt in segs[1:]:
-            if (nxt[0] - cur[1]) <= gap_us:
-                cur[1] = max(cur[1], nxt[1])
-                cur[2] += nxt[2]
-            else:
-                rows.append((k, cur[0], cur[1], cur[2]))
-                cur = list(nxt)
-        rows.append((k, cur[0], cur[1], cur[2]))
-
-    import ray
-
-    if not rows:
-        return interior
-    ktype = parts.schema().base_schema.field(key).type
-    edge_table = pa.table({
-        key: pa.array([r[0] for r in rows], ktype),
-        "session_start_us": pa.array([r[1] for r in rows], pa.int64()),
-        "session_end_us": pa.array([r[2] for r in rows], pa.int64()),
-        "n_events": pa.array([r[3] for r in rows], pa.int64()),
-        "duration_us": pa.array([r[2] - r[1] for r in rows],
-                                pa.int64()),
-    })
-    return interior.union(ray.data.from_arrow(edge_table))
+    return _sessions(ds, key, ts, gap_seconds, True).map_batches(
+        project, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def keyed_hopping_distinct_counts(ds, ts: str = "ts",
@@ -1346,32 +1119,37 @@ def densify_gaps(ds, key: str, period: str, fill_cols):
     guarantees it. NULL keys form their own group like SQL GROUP BY;
     a NULL period raises (a grouped aggregate never produces one).
 
-    Shape: ONE null-safe range-partitioned sort on (key, period).
-    Interior adjacent pairs expand their gaps fully vectorized per
-    block (np.repeat over gap sizes, one arange subtraction — no
+    Shape: :func:`.sorted_scan.sorted_carry` on (key, period). The
+    gaps between adjacent rows of a block expand in the scan, fully
+    vectorized (np.repeat over gap sizes, one arange subtraction — no
     per-key Python). The only pair a block cannot see straddles its
-    boundary, and it is resolvable from each block's FIRST and LAST
-    row alone: 2 fixed-size carry rows per block, O(n_blocks) driver
-    state, hot-key-proof (a key spanning every block costs carries,
-    never its timeline). Driver-generated rows are bounded by the
-    cross-boundary missing periods — output-sized, the bound any
-    exact densification already pays."""
-    import ray
-
-    from .relational import null_safe_sort
-
+    boundary: each block carries its LAST row's period, and the
+    block's first row, in the resolve, expands the gap after its
+    key's latest carry before it — O(n_blocks) driver state,
+    hot-key-proof (a key spanning every block costs carries, never
+    its timeline). Both expansions build their rows with one
+    :func:`_gap_rows`."""
     fill_cols = list(fill_cols)
-    sorted_ds = null_safe_sort(ds, [key], [period])
+    out_cols = [key, period] + fill_cols
 
-    def expand(batch: pa.Table) -> pa.Table:
-        out_cols = [key, period] + fill_cols
-        batch = batch.select(out_cols)
-        tagged = batch.append_column(
-            "__bt", pa.array(np.zeros(batch.num_rows, np.int8)))
+    def _gap_rows(t: pa.Table, src, lo, hi):
+        """Row ``src[i]`` of ``t`` once for every period strictly
+        between ``lo[i]`` and ``hi[i]``, fill columns 0; returns the
+        source rows and the filled rows."""
+        reps = np.maximum(hi - lo - 1, 0)
+        offs = np.cumsum(reps) - reps
+        pair = np.repeat(np.arange(len(reps)), reps)
+        rows = np.asarray(src, np.int64)[pair]
+        fills = t.take(pa.array(rows))
+        p = lo[pair] + 1 + np.arange(len(pair)) - offs[pair]
+        for c, v in [(period, p)] + [(c, np.zeros(len(rows), np.int64))
+                                     for c in fill_cols]:
+            fills = fills.set_column(fills.column_names.index(c), c,
+                                     pa.array(v).cast(t[c].type))
+        return rows, fills
+
+    def scan(batch: pa.Table, seg_ids, starts):
         n = batch.num_rows
-        if n == 0:
-            return tagged.append_column(
-                "__rt", pa.array([], pa.int8()))
         pcol = batch[period]
         if not pa.types.is_integer(pcol.type):
             raise ValueError(
@@ -1381,92 +1159,30 @@ def densify_gaps(ds, key: str, period: str, fill_cols):
             raise ValueError(
                 "densify_gaps: NULL period — feed the output of a"
                 " grouped aggregate")
-        pv = pc.cast(pcol, pa.int64()).to_numpy(zero_copy_only=False)
-        same = _same_adjacent_keys(batch[key])
-        d = pv[1:] - pv[:-1]
-        mask = same & (d > 1)
-        rt0 = tagged.append_column(
-            "__rt", pa.array(np.zeros(n, np.int8)))
-        # carry rows: the block's first and last row (__bt 0 = block
-        # first, 1 = block last) — the only rows the boundary stitch
-        # needs
-        carry = batch.take(pa.array([0, n - 1])).append_column(
-            "__bt", pa.array(np.array([0, 1], np.int8))).append_column(
-            "__rt", pa.array(np.full(2, 2, np.int8)))
-        if not mask.any():
-            return pa.concat_tables([rt0, carry])
-        reps = (d - 1)[mask]
-        starts = pv[:-1][mask] + 1
-        total = int(reps.sum())
-        offs = np.concatenate([[0], np.cumsum(reps)[:-1]])
-        fill_p = np.repeat(starts, reps) + \
-            (np.arange(total) - np.repeat(offs, reps))
-        src = np.repeat(np.nonzero(mask)[0], reps)
-        fills = {key: batch[key].combine_chunks().take(
-            pa.array(src, pa.int64())),
-            period: pa.array(fill_p, pcol.type)}
-        for c in fill_cols:
-            fills[c] = pa.array(
-                np.zeros(total, np.int64)).cast(batch[c].type)
-        ft = pa.table(fills).append_column(
-            "__bt", pa.array(np.zeros(total, np.int8))).append_column(
-            "__rt", pa.array(np.zeros(total, np.int8)))
-        return pa.concat_tables([rt0, ft, carry])
+        pv = _np(pc.cast(pcol, pa.int64()))
+        same = np.nonzero(seg_ids[1:] == seg_ids[:-1])[0]
+        rows, fills = _gap_rows(batch, same, pv[same], pv[same + 1])
+        pend = np.zeros(n + len(rows), bool)
+        pend[0] = True  # only the block's first row can follow a gap
+        return np.concatenate([np.arange(n), rows]), {
+            c: pa.chunked_array(batch[c].chunks + fills[c].chunks,
+                                batch[c].type)
+            for c in [period] + fill_cols}, pend, [n - 1], {}
 
-    scanned = sorted_ds.map_batches(expand, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        pv = _np(pc.cast(kept[period], pa.int64()))
+        parts = [kept]
+        for rows, pos, prev in groups:
+            ok = pos > 0
+            parts.append(_gap_rows(kept, rows[ok], prev[pos[ok] - 1],
+                                   pv[rows[ok]])[1])
+        return pa.concat_tables(parts)
 
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    carries = [pa.Table.from_batches([b])
-               if isinstance(b, pa.RecordBatch) else b
-               for b in scanned.map_batches(
-                   carry_only, batch_format="pyarrow",
-                   zero_copy_batch=True)
-               .iter_batches(batch_format="pyarrow")]
-    carries = [t for t in carries if t.num_rows]
-
-    def keep_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 0)) \
-            .drop_columns(["__bt", "__rt"])
-
-    kept = scanned.map_batches(keep_only, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    if not carries:
-        return kept
-    ct = pa.concat_tables(carries, promote_options="default")
-    idx = pc.sort_indices(ct, sort_keys=[
-        (key, "ascending"), (period, "ascending"),
-        ("__bt", "ascending")])
-    ct = ct.take(idx)
-    m = ct.num_rows
-    if m < 2:
-        return kept
-    pv = pc.cast(ct[period], pa.int64()).to_numpy(zero_copy_only=False)
-    bt = ct["__bt"].to_numpy(zero_copy_only=False)
-    same = _same_adjacent_keys(ct[key])
-    d = pv[1:] - pv[:-1]
-    # a cross-block gap is (block-LAST row) -> (next block's FIRST
-    # row) of the same key with a hole between them
-    mask = same & (d > 1) & (bt[:-1] == 1) & (bt[1:] == 0)
-    if not mask.any():
-        return kept
-    reps = (d - 1)[mask]
-    starts = pv[:-1][mask] + 1
-    total = int(reps.sum())
-    offs = np.concatenate([[0], np.cumsum(reps)[:-1]])
-    fill_p = np.repeat(starts, reps) + \
-        (np.arange(total) - np.repeat(offs, reps))
-    src = np.repeat(np.nonzero(mask)[0], reps)
-    fills = {key: ct[key].combine_chunks().take(
-        pa.array(src, pa.int64())),
-        period: pa.array(fill_p, ct[period].type)}
-    for c in fill_cols:
-        fills[c] = pa.array(
-            np.zeros(total, np.int64)).cast(ct[c].type)
-    return kept.union(
-        __import__("ray").data.from_arrow(pa.table(fills)))
+    return sorted_carry(
+        ds.map_batches(lambda b: b.select(out_cols),
+                       batch_format="pyarrow", zero_copy_batch=True),
+        [key], [period], "densify_gaps", scan,
+        lambda t: _np(pc.cast(t[period], pa.int64())), resolve)
 
 
 def _coalesce_np(s: np.ndarray, e: np.ndarray):

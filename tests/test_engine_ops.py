@@ -1,6 +1,7 @@
 """Engine operator tests: stats/sketches, keyed checks, dedup,
 similarity, text, windows, drift, resumable runs."""
 
+import datetime
 import glob
 import os
 
@@ -4876,6 +4877,154 @@ def test_sorted_ops_ns_order_above_2_53(case, n, blocks):
                              for x in r) for r in tuples), key=repr)
 
     assert norm(rows(out)) == norm(con.execute(sql).fetchall())
+
+
+def _scan_table(seed, n):
+    """Rows for the sorted-scan operators: a nullable int64 key ``k``
+    (20% NULL), a minute-grid timestamp ``ts`` (5% NULL), a unique
+    order ``o``, a period ``p`` unique per key, a size ``sz`` and a
+    nullable value ``v``."""
+    rng = np.random.default_rng(seed)
+    base = 1_700_000_000_000_000
+    k = rng.integers(0, 4, n).astype(object)
+    k[rng.random(n) < 0.2] = None
+    tsv = (base + rng.integers(0, 120, n) * 60_000_000).astype(object)
+    tsv[rng.random(n) < 0.05] = None
+    v = rng.integers(-20, 50, n).astype(float).astype(object)
+    v[rng.random(n) < 0.2] = None
+    return pa.table({
+        "k": pa.array(k.tolist(), pa.int64()),
+        "ts": pa.array(tsv.tolist(), pa.int64()).cast(pa.timestamp("us")),
+        "o": pa.array(rng.permutation(n), pa.int64()),
+        "p": pa.array(rng.permutation(3 * n)[:n], pa.int64()),
+        "sz": pa.array(rng.integers(1, 8, n), pa.int64()),
+        "v": pa.array(v.tolist(), pa.float64()),
+    })
+
+
+_SESSIONS_SQL = """
+    WITH e AS (SELECT k, epoch_us(ts) AS t FROM t WHERE ts IS NOT NULL),
+    b AS (SELECT k, t, CASE WHEN t - lag(t) OVER (PARTITION BY k
+              ORDER BY t) <= 120000000 THEN 0 ELSE 1 END AS brk FROM e),
+    s AS (SELECT k, t, sum(brk) OVER (PARTITION BY k ORDER BY t
+              ROWS UNBOUNDED PRECEDING) AS sid FROM b)"""
+
+# name -> (operator call on (window, keys, ds), its output as
+# tuples, the DuckDB twin over the same table ``t``)
+_SCAN_CASES = {
+    "session_table": (
+        lambda w, kz, ds: w.session_table(ds, "k", "ts", 120.0),
+        _rows_of("k", "session_start_us", "session_end_us", "n_events",
+                 "duration_us"),
+        _SESSIONS_SQL + " SELECT k, min(t), max(t), count(*),"
+        " max(t) - min(t) FROM s GROUP BY k, sid"),
+    "sessionize_counts": (
+        lambda w, kz, ds: w.sessionize_counts(ds, "k", "ts", 120.0),
+        _rows_of("k", "n_events", "n_sessions"),
+        _SESSIONS_SQL + " SELECT k, count(*), max(sid) FROM s GROUP BY k"),
+    "densify_gaps": (
+        lambda w, kz, ds: w.densify_gaps(ds, "k", "p", ["sz"]),
+        _rows_of("k", "p", "sz"),
+        "WITH b AS (SELECT k, unnest(generate_series(min(p), max(p)))"
+        " AS p FROM t GROUP BY k) SELECT b.k, b.p, coalesce(t.sz, 0)"
+        " FROM b LEFT JOIN t ON b.k IS NOT DISTINCT FROM t.k"
+        " AND b.p = t.p"),
+    "first_in_group": (
+        lambda w, kz, ds: kz.first_in_group(ds, ["k"], "o"),
+        _rows_of("o", "is_first"),
+        "SELECT o, row_number() OVER (PARTITION BY k ORDER BY o) = 1"
+        " FROM t"),
+    "key_run_counts": (
+        lambda w, kz, ds: kz.key_run_counts(ds, ["k", "sz"], 2),
+        _rows_of("k", "sz", "cnt"),
+        "SELECT k, sz, count(*) FROM t GROUP BY k, sz"
+        " HAVING count(*) >= 2"),
+    "range_windowed_sum": (
+        lambda w, kz, ds: w.range_windowed_sum(
+            ds, "k", "ts", "v", datetime.timedelta(minutes=5)),
+        _rows_of("k", "ts", "range_sum", "range_cnt"),
+        "SELECT DISTINCT k, ts, sum(v) OVER w, count(v) OVER w FROM t"
+        " WINDOW w AS (PARTITION BY k ORDER BY ts RANGE BETWEEN"
+        " INTERVAL 5 MINUTE PRECEDING AND CURRENT ROW)"),
+    "pack_items": (
+        lambda w, kz, ds: w.pack_items(ds, "k", "o", "sz", 10),
+        _rows_of("k", "o", "sz", "bin"),
+        # the greedy rule, row by row: an item joins its key's open
+        # bin iff it fits, else it opens the next one
+        """WITH RECURSIVE r AS (SELECT k, o, sz, row_number() OVER
+               (PARTITION BY k ORDER BY o) AS rn FROM t),
+           g(k, rn, o, sz, bin, fill) AS (
+               SELECT k, rn, o, sz, 0, sz FROM r WHERE rn = 1
+               UNION ALL
+               SELECT r.k, r.rn, r.o, r.sz,
+                      g.bin + CAST(g.fill + r.sz > 10 AS INT),
+                      CASE WHEN g.fill + r.sz > 10 THEN r.sz
+                           ELSE g.fill + r.sz END
+               FROM g JOIN r ON r.k IS NOT DISTINCT FROM g.k
+                            AND r.rn = g.rn + 1)
+           SELECT k, o, sz, bin FROM g"""),
+}
+
+
+@pytest.mark.parametrize("n,blocks", [(400, 1), (400, 6), (400, 40),
+                                      (12, 40)],
+                         ids=["400x1", "400x6", "400x40", "12x40"])
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_sorted_scan_ops_nullable_keys_match_duckdb(case, n, blocks):
+    """Every operator on the sorted-scan module over a nullable int64
+    key (one NULL group, as in SQL), NULL timestamps and NULL values,
+    against its DuckDB twin, at 1, 6 and 40 blocks and with 12 rows
+    in 40 blocks (empty blocks, some without columns, that no
+    operator guards for)."""
+    import duckdb
+
+    import json_schema_ray.engine.keys as keys
+    import json_schema_ray.engine.window as window
+
+    run, rows, sql = _SCAN_CASES[case]
+    t = _scan_table(131, n)
+    con = duckdb.connect()
+    con.register("t", t)
+    out = run(window, keys, _ray().data.from_arrow(t).repartition(blocks))
+    want = con.execute(sql).fetchall()
+    assert sorted(rows(out), key=repr) == sorted(map(tuple, want),
+                                                  key=repr)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_nullable_numeric_key_is_one_group(blocks):
+    """A NULL int64 key is ONE group for the run counts and the
+    arg-min, as SQL GROUP BY has it: numpy's NaN != NaN used to split
+    it, losing ``(NULL, 4)`` from ``key_run_counts`` and flagging
+    every NULL row as first."""
+    import duckdb
+
+    from json_schema_ray.engine.keys import (
+        duplicate_keys, first_in_group, key_run_counts,
+        uniqueness_violations)
+
+    t = pa.table({
+        "k": pa.array([1, None, None, None, 2, 2, 3, None, 5, 6, 7, 8],
+                      pa.int64()),
+        "o": pa.array(range(12), pa.int64())})
+    con = duckdb.connect()
+    con.register("t", t)
+    ds = _ray().data.from_arrow(t).repartition(blocks)
+    want = sorted(map(tuple, con.execute(
+        "SELECT k, count(*) FROM t GROUP BY k HAVING count(*) >= 2"
+    ).fetchall()), key=repr)
+    assert want == [(2, 2), (None, 4)]
+    runs = key_run_counts(ds, ["k"], min_count=2).take_all()
+    assert sorted(((r["k"], r["cnt"]) for r in runs), key=repr) == want
+    assert sorted(((r["k"], r["cnt"]) for r in
+                   duplicate_keys(ds, ["k"]).take_all()), key=repr) == want
+    assert uniqueness_violations(ds, ["k"]).count() == 2
+    first = first_in_group(ds, ["k"], "o").take_all()
+    got = sorted(r["o"] for r in first if r["is_first"])
+    assert got == sorted(o for (o,) in con.execute(
+        "SELECT o FROM (SELECT o, row_number() OVER (PARTITION BY k"
+        " ORDER BY o) AS rn FROM t) WHERE rn = 1").fetchall())
+    assert sum(1 for r in first if r["is_first"] and r["k"] is None) == 1
 
 
 def test_lm_quality_buckets_approx_close_to_exact():

@@ -115,6 +115,32 @@ def test_key_checks_match_duckdb(blocks):
     assert all(got["ordering_violations"].values())
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 7])
+def test_key_checks_null_turn_at_block_edge(blocks):
+    """A NULL ``turn_idx`` (a required_failed row) in a block's first
+    or last conversation gives the DuckDB counts, as the same NULL
+    inside a block does: NULL turns and ts take no part in the
+    comparisons that need them. Conversation ``c`` has only NULL
+    turns; ``d`` has a NULL ts."""
+    import duckdb
+    import ray
+
+    from json_schema_ray.engine.keys import key_checks
+
+    t = pa.table({
+        "conv_id": pa.array(["a", "a", "b", "c", "c", "b", "d", "d"]),
+        "turn_idx": pa.array([0, None, 0, None, None, 2, 0, 1],
+                             pa.int32()),
+        "ts": pa.array([0, 5, 1, 2, 3, 4, 9, None], pa.int64())
+        .cast(pa.timestamp("us")),
+    })
+    con = duckdb.connect()
+    con.register("t", t)
+    want = duckdb_keys(con, "t")
+    assert want["duplicate_keys"] == 1
+    assert key_checks(ray.data.from_arrow(t).repartition(blocks)) == want
+
+
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_unsorted_full_pass_orders_equal_turns_by_ts(blocks):
     """Rows of one turn come back ordered by ts, as in SQL's
