@@ -185,15 +185,20 @@ def ordering_batch_parts(batch: pa.Table, group_key: str, order_key: str,
 
     - ``rows``: final violations of conversations wholly inside the
       batch, as (gid, type, message) tuples.
-    - ``stitch_rows``: segment-local violations of the first/last
-      conversation of the batch (the only ones that may straddle a
-      block boundary), computed WITHOUT the start-at-0 check.
+    - ``stitch_rows``: segment-local violations of the edge
+      segments, computed WITHOUT the start-at-0 check. A segment is
+      an edge when its conversation may continue outside it: the
+      batch's first and last segment, and the two segments at each
+      chunk boundary. A batch that bundles several blocks
+      concatenates them in arrival order and keeps each block's
+      chunks, so blocks of different files interleave only at a
+      chunk boundary.
     - ``partials``: one fixed-size mergeable tuple
       (gid, first_turn, last_turn, first_ts, last_ts) per edge
-      segment (at most 2) — the only extra state the boundary merge
-      needs, so driver memory is O(blocks), independent of how many
-      turns a hot conversation has. The merge dedupes stitch rows
-      against boundary-derived rows (``stitch_edge_partials``).
+      segment — the only extra state the boundary merge needs, so
+      driver memory is O(chunks), independent of how many turns a
+      hot conversation has. The merge dedupes stitch rows against
+      boundary-derived rows (``stitch_edge_partials``).
 
     Conversations are the runs of :func:`.sorted_scan.key_segments`
     (a NULL group key is one conversation); strings materialize only
@@ -227,13 +232,19 @@ def ordering_batch_parts(batch: pa.Table, group_key: str, order_key: str,
         anom |= inside & sok[1:] & sok[:-1] & (np.diff(ts) < 0)
     bad = set(seg_ids[1:][anom].tolist()) | \
         set(np.nonzero(tok[starts] & (turns[starts] != 0))[0].tolist())
+    edges = {0, g - 1}
+    if g > 2:
+        cuts = np.cumsum([len(c) for c in conv.chunks])[:-1]
+        cuts = cuts[(cuts > 0) & (cuts < n)]
+        edges.update(seg_ids[cuts - 1].tolist())
+        edges.update(seg_ids[cuts].tolist())
     rows: list = []
-    for i in sorted(bad - {0, g - 1}):
+    for i in sorted(bad - edges):
         check(i, rows)
 
     stitch_rows: list = []
     partials: list = []
-    for i in sorted({0, g - 1}):
+    for i in sorted(edges):
         s, e = starts[i], ends[i] - 1
 
         def at(v, ok, j):
@@ -299,10 +310,11 @@ def turn_ordering_violations(ds, group_key: str = "conv_id",
     ``(group, order, ts)`` co-locates and orders each conversation,
     then a vectorized adjacent-diff pass over sorted batches handles
     every conversation that lies wholly inside a batch. The
-    first/last conversation of each batch (the only ones that can
+    first/last conversation of each batch and the conversations on
+    either side of a chunk boundary inside it (the only ones that can
     straddle a block boundary) emit their segment-local violations
     plus one fixed-size mergeable partial (first/last turn + ts) per
-    segment; the driver merge needs only those O(batches) partials —
+    segment; the driver merge needs only those O(chunks) partials —
     independent of conversation length, hot conversations included.
     No per-group python in the hot path.
 
@@ -312,10 +324,10 @@ def turn_ordering_violations(ds, group_key: str = "conv_id",
     written per conversation) and the global sort is skipped — the
     boundary stitching still makes the result exact for convs that
     straddle blocks. If the data VIOLATES the contiguity contract
-    (e.g. a foreign row splits a conversation), each contiguous run is
-    checked as its own unit, so interrupted conversations additionally
-    surface as turn_gap/start anomalies; use the default sorted path
-    when the layout is untrusted.
+    (e.g. a foreign row splits a conversation inside a block), each
+    contiguous run is checked as its own unit, so interrupted
+    conversations additionally surface as turn_gap/start anomalies;
+    use the default sorted path when the layout is untrusted.
     """
     import ray
 

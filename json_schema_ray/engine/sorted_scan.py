@@ -285,14 +285,20 @@ def order_np(batch: pa.Table, col: str,
 
 def replace_rows(kept: pa.Table, name: str, rows, vals) -> pa.Table:
     """``kept`` with column ``name`` set to ``vals`` at ``rows``
-    (any order; chunking is kept)."""
+    (any order). Chunking is kept, so a large string column never
+    needs one contiguous buffer, except for a boolean column: pyarrow
+    16's ``replace_with_mask`` writes a chunked boolean column with
+    too short a data buffer, so it is combined first."""
     rows = np.asarray(rows, np.int64)
     order = np.argsort(rows, kind="stable")
     mask = np.zeros(kept.num_rows, bool)
     mask[rows] = True
     i = kept.column_names.index(name)
+    col = kept[name]
+    if pa.types.is_boolean(col.type):
+        col = col.combine_chunks()
     return kept.set_column(i, name, pc.replace_with_mask(
-        kept[name], pa.array(mask), vals.take(pa.array(order))))
+        col, pa.array(mask), vals.take(pa.array(order))))
 
 
 def _anchors(t: pa.Table, n: int) -> np.ndarray:

@@ -5,7 +5,14 @@ The compile happens once on the driver (parse -> expand ->
 object captured in the ``map_batches`` closure — the analogue of the
 reference's "DocumentStore loaded once" (reference:
 lib/json_schema/document_store.rb:8-30). Validation itself is
-stateless Arrow-compute tasks over zero-copy batches; no shuffle.
+stateless Arrow-compute tasks; no shuffle. The three scans
+(:func:`violations_dataset`, :func:`full_validation_pass`,
+:func:`verdict_counts`) run through :func:`_scan`, which sizes their
+tasks to the input and the cluster (:func:`_task_rows`): when the plan
+has more blocks than about four tasks per CPU, Ray bundles the
+reader's small blocks into tasks of at most ``_TASK_ROWS`` rows, and a
+write after :func:`violations_dataset` emits one file per task;
+otherwise each block is one task.
 """
 
 from __future__ import annotations
@@ -45,6 +52,52 @@ def compile_plan_for(
                               json_columns=json_columns)
 
 
+# Most rows one validation scan task takes. A Ray task costs about
+# 10-14 ms of scheduling on a 1-CPU host, and the reader splits files
+# into blocks of about 1 MiB (a few thousand transcript turns), so a
+# task per block spent more time starting than validating; at 64k rows
+# the overhead is about 6% of a task. Bound: Ray's
+# target_max_block_size (128 MiB) / 65,536 rows = 2 KiB a row, and the
+# widest table the registry validates, `documents`, averages 332 B a
+# row (embeddings 280, transcripts 244), so a task's input is about
+# 21 MiB.
+_TASK_ROWS = 65_536
+
+
+def _task_rows(ds) -> Optional[int]:
+    """Rows per scan task over ``ds``, or None for one task per block.
+
+    For N input rows in B planned blocks on C cluster CPUs the scan
+    aims at N / rows tasks, rows = N // (4*C), at most ``_TASK_ROWS``.
+    Ray packs blocks into a task until it holds at least ``rows``, so
+    a task of blocks no larger holds under twice as many and the scan
+    runs more than 2*C tasks; a larger block is a task of its own.
+    Bundling only pays when B is above the task count aimed at: with
+    fewer blocks it would cut few tasks, yet it stops the read from
+    fusing with the map and slices blocks into more calls. None too
+    when N or B is not known. Both come from the plan and never run
+    it (Parquet footers, a materialized dataset's metadata); B counts
+    read tasks, not the blocks a read task may split its output
+    into."""
+    import ray
+
+    n, blocks = ds._meta_count(), ds._plan.initial_num_blocks()
+    if n is None or not blocks or not ray.is_initialized():
+        return None
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    rows = max(1, min(_TASK_ROWS, n // (4 * cpus)))
+    return rows if blocks * rows > n else None
+
+
+def _scan(ds, fn):
+    """``fn`` over ``ds`` in pyarrow batches of ``_task_rows(ds)``
+    rows: Ray bundles small blocks into one task, whose batch
+    concatenates them in arrival order (one chunk or more per block),
+    and slices a larger block into several calls."""
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=_task_rows(ds))
+
+
 def violations_dataset(ds, plan: TablePlan):
     """Dataset of violation rows (key columns + path/schema_pointer/
     error_type/message/data_json). Streaming, stateless tasks."""
@@ -52,8 +105,7 @@ def violations_dataset(ds, plan: TablePlan):
     def batch_fn(batch: pa.Table) -> pa.Table:
         return validate_batch(batch, plan)
 
-    return ds.map_batches(batch_fn, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return _scan(ds, batch_fn)
 
 
 class RegistryValidator:
@@ -173,11 +225,15 @@ def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
                          presorted: bool = True) -> dict:
     """THE single-scan job: keyword verdicts + violation-row counts +
     per-column stats partials + per-conversation ordering checks, all
-    computed in one ``map_batches`` over (pre)sorted input. Every
-    block emits one small partial; the driver merges counters, stats
-    sketches, interior ordering violations and the edge-conversation
-    stitch set. This is the shape a 10^12-turn job runs: one pass,
-    no second scan, nothing row-sized crosses the wire.
+    computed in one scan (:func:`_scan`) over (pre)sorted input.
+    Every batch emits one small partial; the driver merges counters,
+    stats sketches, interior ordering violations and the
+    edge-conversation stitch set. A batch may bundle blocks of
+    several files in arrival order; ``ordering_batch_parts`` sends
+    every conversation that may continue outside its segment to the
+    stitch, so the counts do not depend on the block layout. This is
+    the shape a 10^12-turn job runs: one pass, no second scan,
+    nothing row-sized crosses the wire.
     """
     from .keys import ordering_batch_parts, stitch_edge_partials
     from .stats import _PARTIAL_SCHEMA, _column_partial, _finalize_stats, _merge_partial
@@ -248,8 +304,7 @@ def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
         rows.append(counter)
         return pa.Table.from_pylist(rows, schema=out_schema)
 
-    parts = ds.map_batches(batch_fn, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    parts = _scan(ds, batch_fn)
 
     merged: dict = {}
     totals = {"total_rows": 0, "valid_rows": 0, "violation_rows": 0}
@@ -286,7 +341,8 @@ def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
 
 
 def verdict_counts(ds, plan: TablePlan) -> dict:
-    """Aggregate pass/fail counts without materializing rows."""
+    """Aggregate pass/fail counts without materializing rows: each
+    batch emits one (valid, total) row and the driver folds them."""
 
     def batch_fn(batch: pa.Table) -> pa.Table:
         ok = verdict_mask(batch, plan)
@@ -295,12 +351,9 @@ def verdict_counts(ds, plan: TablePlan) -> dict:
             "total_rows": pa.array([len(ok)], pa.int64()),
         })
 
-    parts = ds.map_batches(batch_fn, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    import pyarrow.compute as pc
-
-    agg = parts.sum(["valid_rows", "total_rows"])
-    valid = agg["sum(valid_rows)"]
-    total = agg["sum(total_rows)"]
-    return {"valid_rows": int(valid), "total_rows": int(total),
-            "invalid_rows": int(total - valid)}
+    valid = total = 0
+    for part in _scan(ds, batch_fn).iter_batches(batch_format="pyarrow"):
+        valid += sum(part["valid_rows"].to_pylist())
+        total += sum(part["total_rows"].to_pylist())
+    return {"valid_rows": valid, "total_rows": total,
+            "invalid_rows": total - valid}

@@ -8097,3 +8097,24 @@ def test_grouped_multi_agg_sorted_distinct_sub():
         got = {r["k"]: (r["sv"], r["mn"], r["mx"], r["nd"])
                for r in out.take_all()}
         assert got == want, blocks
+
+
+@pytest.mark.parametrize("name, values, vals", [
+    ("b", [[True, False] * 25, [False] * 50], [True, False]),
+    ("s", [["a"] * 50, ["b"] * 50], ["x", "y"]),
+])
+def test_replace_rows_chunked_column_is_valid(name, values, vals):
+    """``replace_rows`` over a 2-chunk column gives a fully valid
+    table: a chunked boolean column is combined first, and any other
+    column keeps its chunks."""
+    from json_schema_ray.engine.sorted_scan import replace_rows
+
+    t = pa.Table.from_batches([pa.record_batch({name: pa.array(v)})
+                               for v in values])
+    out = replace_rows(t, name, [60, 3], pa.array(vals))
+    out.validate(full=True)
+    want = values[0] + values[1]
+    want[60], want[3] = vals
+    assert out[name].to_pylist() == want
+    if name == "s":
+        assert out[name].num_chunks == 2

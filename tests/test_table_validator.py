@@ -237,13 +237,18 @@ def test_ray_violations_dataset(tmp_path):
     assert counts["valid_rows"] + counts["invalid_rows"] == counts["total_rows"]
 
 
-def test_full_validation_pass_matches_separate_stages(ray_session, tmp_path):
+def test_full_validation_pass_matches_separate_stages(ray_session, tmp_path,
+                                                     monkeypatch):
     import ray
 
+    from json_schema_ray.engine import validate
     from json_schema_ray.engine.validate import (
         compile_plan_for, full_validation_pass, verdict_counts)
     from json_schema_ray.sources.transcripts import write_transcripts
 
+    # batches of a few hundred rows, so the 4 files still meet in the
+    # cross-batch stitch rather than in one bundled batch
+    monkeypatch.setattr(validate, "_task_rows", lambda ds: 300)
     path = str(tmp_path / "tr")
     write_transcripts(path, 4000, violation_rate=0.01, n_files=4)
     plan = compile_plan_for(VALIDATION_SCHEMA, TRANSCRIPT_SCHEMA,
@@ -856,16 +861,21 @@ def test_tuple_items_additional_false_matches_interpreter():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_full_validation_pass_unsorted_input():
+def test_full_validation_pass_unsorted_input(monkeypatch):
     """presorted=False: the fused pass must null-safe-sort first and
     produce the same summary as the presorted contiguous layout."""
     import ray
 
     import numpy as np_mod
 
+    from json_schema_ray.engine import validate
     from json_schema_ray.engine.validate import (
         compile_plan_for, full_validation_pass)
     from json_schema_ray.sources.transcripts import generate_transcripts
+
+    # batches of a few hundred rows, so the sorted blocks still meet in
+    # the cross-batch stitch rather than in one bundled batch
+    monkeypatch.setattr(validate, "_task_rows", lambda ds: 250)
 
     t = generate_transcripts(3000, violation_rate=0.02)
     plan = compile_plan_for(VALIDATION_SCHEMA, t.schema,

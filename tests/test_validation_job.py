@@ -142,15 +142,19 @@ def test_key_checks_null_turn_at_block_edge(blocks):
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
-def test_unsorted_full_pass_orders_equal_turns_by_ts(blocks):
+def test_unsorted_full_pass_orders_equal_turns_by_ts(blocks, monkeypatch):
     """Rows of one turn come back ordered by ts, as in SQL's
     ``ORDER BY turn_idx, ts``: turn 1 at 20 s then at 10 s in file
-    order is a duplicate turn, not a ts regression."""
+    order is a duplicate turn, not a ts regression. One batch per
+    block, so 4 blocks meet in the cross-batch stitch."""
     import duckdb
     import ray
 
+    from json_schema_ray.engine import validate
     from json_schema_ray.engine.validate import (
         compile_plan_for, full_validation_pass)
+
+    monkeypatch.setattr(validate, "_task_rows", lambda ds: 4 // blocks)
 
     t = _turns([("c1", 0, 0), ("c1", 1, 20), ("c1", 1, 10), ("c1", 2, 30)])
     con = duckdb.connect()
