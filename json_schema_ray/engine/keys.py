@@ -13,9 +13,11 @@ Scale shape (SURVEY.md §2.4):
   broadcast via ``ray.put`` once; each task checks membership
   per batch against the shared set — no shuffle join for a
   dimension-sized right side.
-- turn ordering and the validation job's key pass
-  (:func:`key_checks`): ONE key-only sort, one scan emitting
-  per-block ordering partials and key-run counts, one driver fold.
+- turn ordering: one sort (:func:`ordering_sort`, by group, turn and
+  ts), per-batch :func:`ordering_batch_parts` and one driver fold of
+  them (:func:`ordering_fold`). The validation job's key pass
+  (:func:`key_checks`), :func:`turn_ordering_violations` and the
+  fused ``validate.full_validation_pass`` all run on these three.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import pyarrow.compute as pc
 
 from .sorted_scan import (_np, key_segments, null_safe_sort,
                           sorted_carry, stitch)
+
+# the transcript layout: conversation, turn and timestamp columns
+GROUP_KEY, ORDER_KEY, TS_KEY = "conv_id", "turn_idx", "ts"
 
 
 def duplicate_keys(ds, keys: List[str]):
@@ -298,42 +303,67 @@ def stitch_edge_partials(edge: dict, has_ts: bool, rows: list) -> None:
         rows.extend(sorted(merged, key=lambda r: (r[1], r[2])))
 
 
-def turn_ordering_violations(ds, group_key: str = "conv_id",
-                             order_key: str = "turn_idx",
-                             ts_key: Optional[str] = "ts",
-                             presorted: bool = False):
+def ordering_sort(ds, group_key: str, order_key: str,
+                  ts_key: Optional[str]):
+    """``ds`` null-safe sorted by ``group_key``, then ``order_key`` and
+    ``ts_key`` (None: no ts column): ts orders the rows of a repeated
+    turn, as SQL's ``ORDER BY turn_idx, ts`` does, so a duplicated
+    turn's rows cannot fake a ts regression. The one sort behind
+    every ordering surface."""
+    return null_safe_sort(ds, [group_key],
+                          [order_key] + ([ts_key] if ts_key else []))
+
+
+def ordering_fold(parts, has_ts: bool) -> list:
+    """The driver fold of the :func:`ordering_batch_parts` results of
+    every batch of a group-sorted stream, in any order: the final rows
+    as they are, and the edge segments merged per group by
+    :func:`stitch_edge_partials`. A group key is its own value, NULL
+    included. Returns the violation rows ``(gid, type, message)``,
+    sorted with NULL groups last."""
+    rows: list = []
+    edge: dict = {}
+    for final, stitch_rows, partials in parts:
+        rows.extend(final)
+        for row in stitch_rows:
+            edge.setdefault(row[0], (set(), []))[0].add(row)
+        for gid, *p in partials:
+            edge.setdefault(gid, (set(), []))[1].append(tuple(p))
+    stitch_edge_partials(edge, has_ts, rows)
+    rows.sort(key=lambda r: (r[0] is None, r[0], r[1], r[2]))
+    return rows
+
+
+def ordering_counts(rows) -> dict:
+    """Ordering violation rows counted by type."""
+    out = dict.fromkeys(("duplicate_turn", "turn_gap", "ts_out_of_order"),
+                        0)
+    for _, etype, _ in rows:
+        out[etype] += 1
+    return out
+
+
+def turn_ordering_violations(ds, group_key: str = GROUP_KEY,
+                             order_key: str = ORDER_KEY,
+                             ts_key: Optional[str] = TS_KEY):
     """Per-conversation sequence checks: ``order_key`` must be a dense
     0..n-1 sequence (gaps, duplicates, late starts all violate) and
-    ``ts`` must be non-decreasing in turn order.
+    ``ts`` must be non-decreasing in turn order. Returns a dataset of
+    ``(group_key, error_type, message)`` rows, the group column typed
+    as in ``ds``.
 
-    Scale shape: ONE parallel range-partitioned sort on
-    ``(group, order, ts)`` co-locates and orders each conversation,
-    then a vectorized adjacent-diff pass over sorted batches handles
-    every conversation that lies wholly inside a batch. The
-    first/last conversation of each batch and the conversations on
-    either side of a chunk boundary inside it (the only ones that can
-    straddle a block boundary) emit their segment-local violations
-    plus one fixed-size mergeable partial (first/last turn + ts) per
-    segment; the driver merge needs only those O(chunks) partials —
+    Scale shape: the key pass of :func:`key_checks` — ONE
+    :func:`ordering_sort`, per-batch :func:`ordering_batch_parts`
+    (vectorized, no per-group Python in the hot path) and the driver's
+    :func:`ordering_fold` over O(chunks) fixed-size edge partials,
     independent of conversation length, hot conversations included.
-    No per-group python in the hot path.
-
-    With ``presorted=True`` the input is trusted to already be laid
-    out contiguously by group and ordered by ``order_key`` within each
-    group (the standard layout for transcript Parquet partitioned and
-    written per conversation) and the global sort is skipped — the
-    boundary stitching still makes the result exact for convs that
-    straddle blocks. If the data VIOLATES the contiguity contract
-    (e.g. a foreign row splits a conversation inside a block), each
-    contiguous run is checked as its own unit, so interrupted
-    conversations additionally surface as turn_gap/start anomalies;
-    use the default sorted path when the layout is untrusted.
     """
     import ray
 
-    rows, _ = _key_scan(ds, group_key, order_key, ts_key, presorted)
+    rows, _ = _key_scan(ds, group_key, order_key, ts_key)
     return ray.data.from_arrow(pa.table({
-        group_key: pa.array([r[0] for r in rows], pa.string()),
+        group_key: pa.array([r[0] for r in rows],
+                            ds.schema().base_schema.field(group_key).type),
         "error_type": pa.array([r[1] for r in rows], pa.string()),
         "message": pa.array([r[2] for r in rows], pa.string()),
     }))
@@ -360,59 +390,44 @@ def _key_runs(batch: pa.Table, group_key: str, order_key: str):
     return int((cnt[1:-1] > 1).sum()), edges
 
 
-def _key_scan(ds, group_key: str, order_key: str, ts_key: Optional[str],
-              presorted: bool = False):
-    """ONE null-safe sort of the key columns ordered by ``(order, ts)``
-    (skipped when ``presorted``), one scan whose blocks emit the
-    ordering partials (``ordering_batch_parts``) and the key-run
-    counts with their block-edge runs, and one driver fold of those
-    O(blocks) partials. Returns the ordering violation rows
-    ``(gid, type, message)``, sorted, and the number of distinct
+def _key_scan(ds, group_key: str, order_key: str, ts_key: Optional[str]):
+    """ONE :func:`ordering_sort` of the key columns, one scan whose
+    blocks emit the ordering partials and the key-run counts with
+    their block-edge runs, and one driver fold of those O(blocks)
+    partials (:func:`ordering_fold`). Returns the ordering violation
+    rows ``(gid, type, message)``, sorted, and the number of distinct
     ``(group, order)`` keys that occur more than once."""
     import pickle
 
-    has_ts = bool(ts_key) and ts_key in ds.schema().names
-    tail = [order_key] + ([ts_key] if has_ts else [])
-    proj = ds.select_columns([group_key] + tail)
-    # ts joins the sort keys so equal-turn rows order by ts — the
-    # exact semantics the boundary merge and the reference check use
-    srt = proj if presorted else null_safe_sort(proj, [group_key], tail)
+    if not (ts_key and ts_key in ds.schema().names):
+        ts_key = None
+    cols = [group_key, order_key] + ([ts_key] if ts_key else [])
+    srt = ordering_sort(ds.select_columns(cols), group_key, order_key,
+                        ts_key)
 
     def scan(batch: pa.Table) -> pa.Table:
-        part = ordering_batch_parts(batch, group_key, order_key,
-                                    ts_key if has_ts else None)
-        part += _key_runs(batch, group_key, order_key)
-        return pa.table({"part": [pickle.dumps(part)]})
+        return pa.table({"part": [pickle.dumps((
+            ordering_batch_parts(batch, group_key, order_key, ts_key),
+            _key_runs(batch, group_key, order_key)))]})
 
-    # interior violations collect directly (violation-sized); edge
-    # conversations merge from O(batches) fixed-size partials plus
-    # their own violation rows — never their raw timelines
-    rows: list = []
-    edge: dict = {}
+    orders: list = []
     edge_runs: dict = {}
     duplicates = 0
     for batch in srt.map_batches(scan, batch_format="pyarrow") \
             .iter_batches(batch_format="pyarrow"):
         for blob in batch["part"].to_pylist():
-            final, stitch_rows, partials, interior_dups, runs = \
-                pickle.loads(blob)
-            rows.extend(final)
-            for row in stitch_rows:
-                edge.setdefault(row[0], (set(), []))[0].add(row)
-            for gid, *p in partials:
-                edge.setdefault(gid, (set(), []))[1].append(tuple(p))
+            order, (interior_dups, runs) = pickle.loads(blob)
+            orders.append(order)
             duplicates += interior_dups
             for k, c in runs:
                 edge_runs[k] = edge_runs.get(k, 0) + c
-    stitch_edge_partials(edge, has_ts, rows)
-    rows.sort(key=lambda r: (r[0] is None, r[0] or "", r[1], r[2]))
     duplicates += sum(1 for c in edge_runs.values() if c > 1)
-    return rows, duplicates
+    return ordering_fold(orders, ts_key is not None), duplicates
 
 
-def key_checks(ds, group_key: str = "conv_id",
-               order_key: str = "turn_idx",
-               ts_key: Optional[str] = "ts") -> dict:
+def key_checks(ds, group_key: str = GROUP_KEY,
+               order_key: str = ORDER_KEY,
+               ts_key: Optional[str] = TS_KEY) -> dict:
     """Duplicate ``(group, order)`` keys and the counts of
     :func:`turn_ordering_violations`, from ONE key-only sort and one
     scan (the validation job's key pass).
@@ -422,11 +437,35 @@ def key_checks(ds, group_key: str = "conv_id",
     that occur more than once, as ``GROUP BY ... HAVING count(*) > 1``
     does, NULL keys included."""
     rows, duplicates = _key_scan(ds, group_key, order_key, ts_key)
-    ordering = dict.fromkeys(("duplicate_turn", "turn_gap",
-                              "ts_out_of_order"), 0)
-    for _, etype, _ in rows:
-        ordering[etype] += 1
-    return {"duplicate_keys": duplicates, "ordering_violations": ordering}
+    return {"duplicate_keys": duplicates,
+            "ordering_violations": ordering_counts(rows)}
+
+
+_NULL_LABEL = "\x00__null_label__"
+
+
+def _lagged_labels(ds, key, order: str, label: str, tiebreak: str):
+    """``ds`` with ``__prev``, the ``label`` of the previous row of the
+    same ``key`` in ``(order, tiebreak)`` order (``rank.lag_column``).
+    The lag runs over a copy of ``label`` with NULL coalesced to
+    ``_NULL_LABEL``, so a NULL ``__prev`` means only "first row of
+    key", never "predecessor's label was NULL". ``tiebreak`` may be
+    ``order`` itself (a turn index that is both the order and the
+    unique tiebreaker): the shift scan selects the two as separate
+    columns, so an alias ``__tb`` stands in for it."""
+    from .rank import lag_column
+
+    tb = "__tb" if tiebreak == order else tiebreak
+
+    def prep(batch: pa.Table) -> pa.Table:
+        if tb != tiebreak:
+            batch = batch.append_column(tb, batch[order])
+        return batch.append_column("__lab_nn", pc.fill_null(
+            pc.cast(batch[label], pa.string()), _NULL_LABEL))
+
+    return lag_column(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        key, order, value="__lab_nn", tiebreak=tb, out="__prev")
 
 
 def transition_violations(ds, key, order: str, label: str,
@@ -458,34 +497,8 @@ def transition_violations(ds, key, order: str, label: str,
     ``pc.equal`` + ``pc.is_in`` pair per restricted from-label (the
     protocol alphabet is small and fixed), no per-row Python, no
     driver state."""
-    from .rank import lag_column
-
     keys = [key] if isinstance(key, str) else list(key)
-    if tiebreak == order:
-        # the shift scan selects (order, tiebreak) as two columns —
-        # alias the duplicate so callers may pass the same column
-        # (e.g. a turn index that is both the order and the unique
-        # tiebreaker)
-        def alias(batch: pa.Table) -> pa.Table:
-            return batch.append_column("__tb", batch[order])
-
-        ds = ds.map_batches(alias, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        tiebreak = "__tb"
-
-    # lag a sentinel-coalesced copy: a NULL lag must uniquely mean
-    # "first row of key", not "predecessor's label was NULL"
-    sentinel = "\x00__null_label__"
-
-    def coalesce(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__lab_nn",
-            pc.fill_null(pc.cast(batch[label], pa.string()), sentinel))
-
-    lagged = lag_column(
-        ds.map_batches(coalesce, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        key, order, value="__lab_nn", tiebreak=tiebreak, out="__prev")
+    lagged = _lagged_labels(ds, key, order, label, tiebreak)
 
     allowed_sets = {f: pa.array(sorted(set(s)), pa.string())
                     for f, s in allowed.items()}
@@ -512,7 +525,7 @@ def transition_violations(ds, key, order: str, label: str,
             bad = pc.or_(bad, pc.and_(first, pc.invert(ok0)))
         out = batch.filter(bad)
         prev_out = pc.if_else(
-            pc.fill_null(pc.equal(out["__prev"], sentinel), False),
+            pc.fill_null(pc.equal(out["__prev"], _NULL_LABEL), False),
             pa.scalar(None, pa.string()), out["__prev"])
         return out.select(keys + [order]) \
             .append_column("prev_label", prev_out) \
@@ -822,28 +835,9 @@ def transition_counts(ds, key, order: str, label: str,
     count exchange never sees row-sized data."""
     from ray.data.aggregate import Sum
 
-    from .rank import lag_column
     from .relational import null_safe_grouped_aggregate
 
-    if tiebreak == order:
-        def alias(batch: pa.Table) -> pa.Table:
-            return batch.append_column("__tb", batch[order])
-
-        ds = ds.map_batches(alias, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        tiebreak = "__tb"
-
-    sentinel = "\x00__null_label__"
-
-    def coalesce(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__lab_nn",
-            pc.fill_null(pc.cast(batch[label], pa.string()), sentinel))
-
-    lagged = lag_column(
-        ds.map_batches(coalesce, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        key, order, value="__lab_nn", tiebreak=tiebreak, out="__prev")
+    lagged = _lagged_labels(ds, key, order, label, tiebreak)
 
     group_cols = ([key] if per_key else []) + ["__p", "__c"]
 
@@ -854,8 +848,8 @@ def transition_counts(ds, key, order: str, label: str,
         # lag already carries the sentinel for NULL labels; a NULL
         # lag means first-of-key and joins it)
         cur = pc.fill_null(pc.cast(batch[label], pa.string()),
-                           sentinel)
-        prev = pc.fill_null(batch["__prev"], sentinel)
+                           _NULL_LABEL)
+        prev = pc.fill_null(batch["__prev"], _NULL_LABEL)
         cols = {"__p": prev, "__c": cur}
         if per_key:
             cols = {key: batch[key], **cols}
@@ -873,7 +867,7 @@ def transition_counts(ds, key, order: str, label: str,
 
     def finish(batch: pa.Table) -> pa.Table:
         def dec(col):
-            return pc.if_else(pc.equal(col, sentinel),
+            return pc.if_else(pc.equal(col, _NULL_LABEL),
                               pa.scalar(None, pa.string()), col)
 
         cols = {}

@@ -10,18 +10,17 @@ whose existence means the fragment is done. A manifest holds:
 - ``identity``: the input's ``path``, ``size``, ``mtime_ns`` and
   footer ``rows`` when it was read;
 - ``fingerprint``: the plan fingerprint (:func:`plan_fingerprint`);
-- ``rows``, ``valid_rows``, ``violations``, ``violations_by_type``
-  and ``verdict``: the verdict counters;
-- ``stats``: one mergeable per-column stats partial per input column
-  (``stats._column_partial`` folded over the fragment, sketches
-  base64-encoded);
+- the fragment's :class:`.validate.ValidationPartial`
+  (``ValidationPartial.to_manifest``): ``rows``, ``valid_rows``,
+  ``violations``, ``violations_by_type``, ``verdict`` and one
+  mergeable stats partial per input column;
 - ``profile`` (only with a reference profile): the fragment's own
   ``ReferenceProfile`` JSON over the reference's columns: categorical
   counts, exact length histograms and t-digests.
 
 So the fragment's task is the only full-width scan a run needs: a
-summary is a driver fold over the manifests (:func:`fold_manifests`),
-and a finished fragment never has to be read again.
+summary merges the manifests' partials (:func:`fold_manifests`), and a
+finished fragment never has to be read again.
 
 A re-submitted run checks the manifests first (:func:`done_manifests`)
 and skips finished fragments, so a killed job resumes mid-scan without
@@ -44,7 +43,6 @@ stays bounded regardless of fragment size.
 
 from __future__ import annotations
 
-import base64
 import functools
 import glob
 import hashlib
@@ -54,12 +52,10 @@ import tempfile
 from typing import Dict, List, Optional
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .table_validator import TablePlan, validate_batch
-
-_SKETCHES = ("hll", "tdigest")
+from .table_validator import TablePlan
+from .validate import ValidationPartial
 
 
 class ResumeMismatch(ValueError):
@@ -188,16 +184,6 @@ def done_manifests(out_dir: str, input_files: List[str],
     return out
 
 
-def _b64(row: dict) -> dict:
-    return {k: (base64.b64encode(v).decode() if k in _SKETCHES and v
-                else v) for k, v in row.items()}
-
-
-def _unb64(row: dict) -> dict:
-    return {k: (base64.b64decode(v) if k in _SKETCHES and v else v)
-            for k, v in row.items()}
-
-
 def run_resumable_validation(
     input_files: List[str],
     out_dir: str,
@@ -225,34 +211,20 @@ def run_resumable_validation(
 
     import ray
 
-    from .stats import _column_partial, _merge_partial, _merged_partials
-
     os.makedirs(os.path.join(out_dir, "violations"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "manifest"), exist_ok=True)
 
     def validate_fragment(path: str) -> dict:
         frag = _fragment_id(path)
         identity = fragment_identity(path)
-        total = valid = 0
+        part = ValidationPartial()
         viol_tables = []
-        by_type: Dict[str, int] = {}
-        stats: dict = {}
         seen = None  # the fragment's profile
         for rb in pq.ParquetFile(path).iter_batches():
             t = pa.Table.from_batches([rb])
-            # one plan evaluation: a row is valid iff it has no
-            # violation row
-            v, n_invalid = validate_batch(t, plan, with_invalid_count=True)
-            total += t.num_rows
-            valid += t.num_rows - n_invalid
+            v = part.add(t, plan)
             if v.num_rows:
                 viol_tables.append(v)
-                for r in pc.value_counts(v["error_type"]).to_pylist():
-                    by_type[r["values"]] = \
-                        by_type.get(r["values"], 0) + r["counts"]
-            for name in t.column_names:
-                _merge_partial(stats, _column_partial(name, t[name], 12,
-                                                      False))
             if profile is not None:
                 p = profile.profile_batch(t)
                 seen = p if seen is None else seen.merge(p)
@@ -260,18 +232,9 @@ def run_resumable_validation(
                 else plan.violation_schema().empty_table())
         viol_path = os.path.join(out_dir, "violations", f"{frag}.parquet")
         pq.write_table(viol, viol_path)
-        manifest = {
-            "fragment": frag,
-            "identity": identity,
-            "fingerprint": fingerprint,
-            "rows": total,
-            "valid_rows": valid,
-            "violations": viol.num_rows,
-            "violations_by_type": dict(sorted(by_type.items())),
-            "verdict": "pass" if valid == total else "fail",
-            "output": viol_path,
-            "stats": [_b64(r) for r in _merged_partials(stats)],
-        }
+        manifest = {"fragment": frag, "identity": identity,
+                    "fingerprint": fingerprint, "output": viol_path,
+                    **part.to_manifest()}
         if profile is not None:
             if seen is None:  # a fragment without rows
                 seen = profile.profile_batch(
@@ -307,33 +270,19 @@ def run_resumable_validation(
 
 
 def fold_manifests(manifests: List[dict], profile=None) -> dict:
-    """Driver fold of fragment manifests, in the order given: verdict
-    counters, violations by error type, the per-column stats table
+    """Driver fold of fragment manifests, in the order given: the
+    merged :class:`.validate.ValidationPartial` summary (verdict
+    counters, violations by error type, the per-column stats table)
     and, with ``profile``, the drift report against the folded
     fragment profiles."""
-    from .stats import _finalize_stats, _merge_partial
-
-    totals = {"total_rows": 0, "valid_rows": 0, "violation_rows": 0}
-    by_type: Dict[str, int] = {}
-    stats: dict = {}
+    total = ValidationPartial()
     seen = None
     for m in manifests:
-        totals["total_rows"] += m["rows"]
-        totals["valid_rows"] += m["valid_rows"]
-        totals["violation_rows"] += m["violations"]
-        for k, n in m["violations_by_type"].items():
-            by_type[k] = by_type.get(k, 0) + n
-        for row in m["stats"]:
-            _merge_partial(stats, _unb64(row))
+        total.merge(ValidationPartial.from_manifest(m))
         if profile is not None:
             p = profile.from_json(json.dumps(m["profile"]))
             seen = p if seen is None else seen.merge(p)
-    out = {
-        **totals,
-        "invalid_rows": totals["total_rows"] - totals["valid_rows"],
-        "violations_by_type": dict(sorted(by_type.items())),
-        "stats": _finalize_stats(stats),
-    }
+    out = total.summary()
     if profile is not None:
         out["drift"] = profile.report(seen)
     return out

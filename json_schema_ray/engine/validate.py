@@ -5,7 +5,10 @@ The compile happens once on the driver (parse -> expand ->
 object captured in the ``map_batches`` closure — the analogue of the
 reference's "DocumentStore loaded once" (reference:
 lib/json_schema/document_store.rb:8-30). Validation itself is
-stateless Arrow-compute tasks; no shuffle. The three scans
+stateless Arrow-compute tasks; no shuffle. What validation computes
+per document (verdicts, violations by type, column stats) folds into
+one mergeable :class:`ValidationPartial`, shared by the fused scan
+and the resumable run's fragment manifests. The three scans
 (:func:`violations_dataset`, :func:`full_validation_pass`,
 :func:`verdict_counts`) run through :func:`_scan`, which sizes their
 tasks to the input and the cluster (:func:`_task_rows`): when the plan
@@ -17,13 +20,18 @@ otherwise each block is one task.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import base64
+import pickle
+from collections import Counter
+from typing import List, Optional
 
 import pyarrow as pa
 
 from ..expander import ReferenceExpander
 from ..parser import Parser
 from ..schema import Schema
+from .stats import (_column_partial, _finalize_stats, _merge_partial,
+                    _merged_partials)
 from .table_validator import (
     TablePlan,
     compile_table_plan,
@@ -218,126 +226,121 @@ def validate_by_registry(ds, registry: dict, arrow_schema: pa.Schema,
         batch_format="pyarrow", zero_copy_batch=True, **extra)
 
 
-def full_validation_pass(ds, plan: TablePlan, hll_p: int = 12,
-                         group_key: str = "conv_id",
-                         order_key: str = "turn_idx",
-                         ts_key: str = "ts",
-                         presorted: bool = True) -> dict:
-    """THE single-scan job: keyword verdicts + violation-row counts +
-    per-column stats partials + per-conversation ordering checks, all
-    computed in one scan (:func:`_scan`) over (pre)sorted input.
-    Every batch emits one small partial; the driver merges counters,
-    stats sketches, interior ordering violations and the
-    edge-conversation stitch set. A batch may bundle blocks of
-    several files in arrival order; ``ordering_batch_parts`` sends
-    every conversation that may continue outside its segment to the
-    stitch, so the counts do not depend on the block layout. This is
-    the shape a 10^12-turn job runs: one pass, no second scan,
-    nothing row-sized crosses the wire.
-    """
-    from .keys import ordering_batch_parts, stitch_edge_partials
-    from .stats import _PARTIAL_SCHEMA, _column_partial, _finalize_stats, _merge_partial
+def _sketches(row: dict, code) -> dict:
+    """A stats partial row with its sketch blobs passed through
+    ``code``."""
+    return {k: code(v) if k in ("hll", "tdigest") and v else v
+            for k, v in row.items()}
 
-    has_ts = ts_key in [f for f in (ds.schema().names or [])]
-    if not presorted:
-        from .relational import null_safe_sort
 
-        # ts orders equal turns, as turn_ordering_violations and SQL's
-        # ORDER BY turn_idx, ts do; without it a duplicated turn's rows
-        # come back in arbitrary order and can fake a ts regression
-        ds = null_safe_sort(ds, [group_key],
-                            [order_key] + ([ts_key] if has_ts else []))
+class ValidationPartial:
+    """What validation computes per document, folded over any set of
+    rows: row, valid-row and violation-row counts, violations by
+    ``error_type`` and the per-column stats partials (the
+    ``stats._merge_partial`` state). Partials merge in any order and
+    :meth:`summary` finishes one. The fused scan builds one per batch
+    and merges them on the driver; a fragment task of the resumable
+    run folds its batches into one and writes it as its manifest
+    (:meth:`to_manifest`), and the job's summary merges the manifests."""
 
-    extra_fields = [
-        ("total_rows", pa.int64()), ("valid_rows", pa.int64()),
-        ("violation_rows", pa.int64()),
-        ("ord_duplicate_turn", pa.int64()), ("ord_turn_gap", pa.int64()),
-        ("ord_ts_out_of_order", pa.int64()),
-        # edge-conversation stitch state: violation rows (etype/msg)
-        # plus ONE fixed-size partial per edge segment — never the
-        # conversation's raw (turn, ts) timeline
-        ("edge_gid", pa.string()), ("edge_etype", pa.string()),
-        ("edge_msg", pa.string()), ("edge_ft", pa.int64()),
-        ("edge_lt", pa.int64()), ("edge_fts", pa.int64()),
-        ("edge_lts", pa.int64()),
-    ]
-    out_schema = pa.schema(
-        list(_PARTIAL_SCHEMA) + [pa.field(n, t) for n, t in extra_fields])
-    blank = {f.name: None for f in out_schema}
+    def __init__(self):
+        self.rows = self.valid_rows = self.violation_rows = 0
+        self.by_type: Counter = Counter()
+        self.stats: dict = {}
 
-    def batch_fn(batch: pa.Table) -> pa.Table:
-        # ONE keyword evaluation: the verdict tally comes from the
-        # violation rows' distinct row indices (a row is valid iff it
-        # contributes none), not a second verdict_mask pass — ~17% of
-        # the fused scan's per-batch time (differential-tested)
+    def add(self, batch: pa.Table, plan: TablePlan) -> pa.Table:
+        """Fold ``batch`` in and return its violation rows. ONE keyword
+        evaluation: a row is valid iff it contributes no violation
+        row, so the verdict needs no second ``verdict_mask`` pass."""
         viol, n_invalid = validate_batch(batch, plan,
                                          with_invalid_count=True)
-        rows = []
+        self.rows += batch.num_rows
+        self.valid_rows += batch.num_rows - n_invalid
+        self.violation_rows += viol.num_rows
+        self.by_type.update(viol["error_type"].to_pylist())
         for name in batch.column_names:
-            r = dict(blank)
-            r.update(_column_partial(name, batch[name], hll_p, False))
-            rows.append(r)
-        counter = dict(blank)
-        counter.update(total_rows=batch.num_rows,
-                       valid_rows=batch.num_rows - n_invalid,
-                       violation_rows=viol.num_rows,
-                       ord_duplicate_turn=0, ord_turn_gap=0,
-                       ord_ts_out_of_order=0)
-        if batch.num_rows:
-            ord_rows, stitch_rows, partials = ordering_batch_parts(
-                batch, group_key, order_key, ts_key if has_ts else None)
-            # ordering violations reduce to per-type COUNTS here — at
-            # scale the full rows are written per-partition (see
-            # violations_dataset / manifest), never driver-collected
-            for _, etype, _ in ord_rows:
-                counter["ord_" + etype] += 1
-            for gid, etype, msg in stitch_rows:
-                r = dict(blank)
-                r.update(edge_gid=gid or "", edge_etype=etype,
-                         edge_msg=msg)
-                rows.append(r)
-            for gid, ft, lt, fts, lts in partials:
-                r = dict(blank)
-                r.update(edge_gid=gid or "", edge_ft=ft, edge_lt=lt,
-                         edge_fts=fts, edge_lts=lts)
-                rows.append(r)
-        rows.append(counter)
-        return pa.Table.from_pylist(rows, schema=out_schema)
+            _merge_partial(self.stats,
+                           _column_partial(name, batch[name], 12, False))
+        return viol
 
-    parts = _scan(ds, batch_fn)
+    def merge(self, other: "ValidationPartial") -> None:
+        self.rows += other.rows
+        self.valid_rows += other.valid_rows
+        self.violation_rows += other.violation_rows
+        self.by_type.update(other.by_type)
+        for row in _merged_partials(other.stats):
+            _merge_partial(self.stats, row)
 
-    merged: dict = {}
-    totals = {"total_rows": 0, "valid_rows": 0, "violation_rows": 0}
-    ord_counts = {"duplicate_turn": 0, "turn_gap": 0, "ts_out_of_order": 0}
-    edge: dict = {}
-    for batch in parts.iter_batches(batch_format="pyarrow"):
-        for row in batch.to_pylist():
-            if row["column"] is not None:
-                _merge_partial(merged, row)
-            elif row["total_rows"] is not None:
-                for k in totals:
-                    totals[k] += row[k]
-                for k in ord_counts:
-                    ord_counts[k] += row["ord_" + k] or 0
-            elif row["edge_gid"] is not None:
-                slot = edge.setdefault(row["edge_gid"], (set(), []))
-                if row["edge_etype"] is not None:
-                    slot[0].add((row["edge_gid"], row["edge_etype"],
-                                 row["edge_msg"]))
-                else:
-                    slot[1].append((row["edge_ft"], row["edge_lt"],
-                                    row["edge_fts"], row["edge_lts"]))
-    edge_rows: list = []
-    stitch_edge_partials(edge, has_ts, edge_rows)
-    for _, etype, _ in edge_rows:
-        ord_counts[etype] += 1
+    def to_manifest(self) -> dict:
+        """The manifest fields: the counters, the verdict and one stats
+        partial per column, sketches base64-encoded."""
+        return {
+            "rows": self.rows,
+            "valid_rows": self.valid_rows,
+            "violations": self.violation_rows,
+            "violations_by_type": dict(sorted(self.by_type.items())),
+            "verdict": "pass" if self.valid_rows == self.rows else "fail",
+            "stats": [_sketches(row, lambda v: base64.b64encode(v).decode())
+                      for row in _merged_partials(self.stats)],
+        }
 
-    return {
-        **totals,
-        "invalid_rows": totals["total_rows"] - totals["valid_rows"],
-        "ordering_violation_counts": ord_counts,
-        "stats": _finalize_stats(merged),
-    }
+    @classmethod
+    def from_manifest(cls, m: dict) -> "ValidationPartial":
+        out = cls()
+        out.rows, out.valid_rows = m["rows"], m["valid_rows"]
+        out.violation_rows = m["violations"]
+        out.by_type.update(m["violations_by_type"])
+        for row in m["stats"]:
+            _merge_partial(out.stats, _sketches(row, base64.b64decode))
+        return out
+
+    def summary(self) -> dict:
+        return {
+            "total_rows": self.rows,
+            "valid_rows": self.valid_rows,
+            "invalid_rows": self.rows - self.valid_rows,
+            "violation_rows": self.violation_rows,
+            "violations_by_type": dict(sorted(self.by_type.items())),
+            "stats": _finalize_stats(self.stats),
+        }
+
+
+def full_validation_pass(ds, plan: TablePlan,
+                         presorted: bool = True) -> dict:
+    """THE single-scan job: one scan (:func:`_scan`) over input in
+    (conversation, turn, ts) order, each batch emitting one
+    :class:`ValidationPartial` and its ordering partials
+    (``keys.ordering_batch_parts``); the driver merges the former and
+    folds the latter (``keys.ordering_fold``). ``presorted=False``
+    sorts the input first (``keys.ordering_sort``). A batch may bundle
+    blocks of several files in arrival order; ``ordering_batch_parts``
+    sends every conversation that may continue outside its segment to
+    the stitch, so the counts do not depend on the block layout. This
+    is the shape a 10^12-turn job runs: one pass, no second scan, and
+    only partials and violation-sized ordering rows cross the wire.
+    """
+    from .keys import (GROUP_KEY, ORDER_KEY, TS_KEY, ordering_batch_parts,
+                       ordering_counts, ordering_fold, ordering_sort)
+
+    ts_key = TS_KEY if TS_KEY in ds.schema().names else None
+    if not presorted:
+        ds = ordering_sort(ds, GROUP_KEY, ORDER_KEY, ts_key)
+
+    def batch_fn(batch: pa.Table) -> pa.Table:
+        part = ValidationPartial()
+        part.add(batch, plan)
+        order = ordering_batch_parts(batch, GROUP_KEY, ORDER_KEY, ts_key)
+        return pa.table({"part": [pickle.dumps((part, order))]})
+
+    total, orders = ValidationPartial(), []
+    for batch in _scan(ds, batch_fn).iter_batches(batch_format="pyarrow"):
+        for blob in batch["part"].to_pylist():
+            part, order = pickle.loads(blob)
+            total.merge(part)
+            orders.append(order)
+    rows = ordering_fold(orders, ts_key is not None)
+    return {**total.summary(),
+            "ordering_violation_counts": ordering_counts(rows)}
 
 
 def verdict_counts(ds, plan: TablePlan) -> dict:

@@ -19,10 +19,8 @@ NOT_YET_PORTED = {
         "join: the as-of carry predates the module",
     ("json_schema_ray/engine/dedup.py", "exact_dedup_sorted"):
         "dedup keeps its own edge stitch",
-    ("json_schema_ray/engine/validate.py", "full_validation_pass"):
-        "the fused validation scan folds ordering partials itself",
-    ("json_schema_ray/engine/keys.py", "_key_scan"):
-        "the job's key pass folds the same ordering partials",
+    ("json_schema_ray/engine/keys.py", "ordering_sort"):
+        "the ordering surfaces fold edge partials, not carries",
     ("json_schema_ray/engine/rank.py", "grouped_string_agg"):
         "edge pieces assemble through a groupby, not a carry",
     ("json_schema_ray/engine/window.py", "pack_items"):

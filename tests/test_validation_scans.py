@@ -6,12 +6,15 @@ concatenates blocks in arrival order, so a conversation may recur
 inside one batch or continue in another; the ordering checks stitch
 both."""
 
+import glob
+import os
 from collections import Counter
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from test_validation_job import (TWELVE, _turns, duckdb_keys,
+from test_validation_job import (TWELVE, _rel, _turns, duckdb_keys,
                                  duckdb_validation)
 
 ORDER = [("conv_id", "ascending"), ("turn_idx", "ascending"),
@@ -30,21 +33,14 @@ WANT = {"duplicate_turn": 0, "turn_gap": 0, "ts_out_of_order": 1}
 
 def _fold(batches) -> dict:
     """Ordering counts of ``ordering_batch_parts`` over ``batches``
-    and the driver stitch, as the scans fold them."""
+    and the engine's driver fold."""
     from json_schema_ray.engine.keys import (ordering_batch_parts,
-                                             stitch_edge_partials)
+                                             ordering_counts,
+                                             ordering_fold)
 
-    rows, edge = [], {}
-    for b in batches:
-        final, stitch_rows, partials = ordering_batch_parts(
-            b, "conv_id", "turn_idx", "ts")
-        rows += final
-        for r in stitch_rows:
-            edge.setdefault(r[0], (set(), []))[0].add(r)
-        for gid, *p in partials:
-            edge.setdefault(gid, (set(), []))[1].append(tuple(p))
-    stitch_edge_partials(edge, True, rows)
-    return {k: sum(r[1] == k for r in rows) for k in WANT}
+    return ordering_counts(ordering_fold(
+        [ordering_batch_parts(b, "conv_id", "turn_idx", "ts")
+         for b in batches], True))
 
 
 def _oracle(t: pa.Table) -> dict:
@@ -242,3 +238,146 @@ def test_task_rows_gives_two_tasks_per_cpu(corpus, monkeypatch):
     assert validate._task_rows(ds) is None
     assert validate._task_rows(
         ray.data.from_arrow(corpus).repartition(100)) == 50
+
+
+def _full_pass(t: pa.Table, blocks: int, presorted: bool) -> dict:
+    """``full_validation_pass`` over ``t`` (sorted first when
+    ``presorted``) in ``blocks`` blocks, with an all-pass schema."""
+    import ray
+
+    from json_schema_ray.engine.validate import (compile_plan_for,
+                                                 full_validation_pass)
+
+    if presorted:
+        t = t.sort_by([(c, "ascending") for c in t.column_names])
+    plan = compile_plan_for({"type": "object"}, t.schema,
+                            key_columns=["conv_id", "turn_idx"])
+    return full_validation_pass(
+        ray.data.from_arrow(t).repartition(blocks), plan,
+        presorted=presorted)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("presorted", [True, False])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_null_group_is_not_the_empty_string(blocks, presorted):
+    """A NULL conversation and a ``""`` one stay two groups in the
+    ordering fold: the NULL one starts at turn 2, a late start that
+    DuckDB's ``PARTITION BY conv_id`` counts."""
+    import duckdb
+    import ray
+
+    from json_schema_ray.engine.keys import key_checks
+
+    t = pa.table({
+        "conv_id": pa.array(["", "", None, None], pa.string()),
+        "turn_idx": pa.array([0, 1, 2, 3], pa.int32()),
+        "ts": pa.array([0, 1, 2, 3], pa.timestamp("us")),
+    })
+    con = duckdb.connect()
+    con.register("t", t)
+    want = duckdb_keys(con, "t")["ordering_violations"]
+    assert want == {"duplicate_turn": 0, "turn_gap": 1,
+                    "ts_out_of_order": 0}
+    assert _full_pass(t, blocks, presorted)[
+        "ordering_violation_counts"] == want
+    assert key_checks(ray.data.from_arrow(t).repartition(blocks))[
+        "ordering_violations"] == want
+
+
+# int64 conversation ids, 0 and NULL among them: 0 has a gap, 1 a
+# duplicate turn, NULL a late start, 2 a ts regression, 5 is clean
+INT_GROUPS = pa.table({
+    "conv_id": pa.array([1, 0, None, 2, 5, 0, 1, 2, 5, None, 1, 0, 5],
+                        pa.int64()),
+    "turn_idx": pa.array([0, 0, 1, 0, 0, 1, 1, 1, 1, 2, 1, 3, 2],
+                         pa.int32()),
+    "ts": pa.array([1, 1, 1, 9, 1, 2, 2, 3, 2, 2, 3, 4, 3],
+                   pa.timestamp("us")),
+})
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("blocks", [1, 2, 6])
+def test_integer_group_keys_on_every_ordering_surface(blocks):
+    """Integer conversation ids, 0 and NULL included, through the
+    fused pass (presorted or not), the key pass and
+    ``turn_ordering_violations``, whose group column keeps the input
+    type."""
+    import duckdb
+    import ray
+
+    from json_schema_ray.engine.keys import (key_checks,
+                                             turn_ordering_violations)
+
+    con = duckdb.connect()
+    con.register("t", INT_GROUPS)
+    want = duckdb_keys(con, "t")["ordering_violations"]
+    assert want == {"duplicate_turn": 1, "turn_gap": 2,
+                    "ts_out_of_order": 1}
+    for presorted in (True, False):
+        assert _full_pass(INT_GROUPS, blocks, presorted)[
+            "ordering_violation_counts"] == want, presorted
+    ds = ray.data.from_arrow(INT_GROUPS).repartition(blocks)
+    assert key_checks(ds)["ordering_violations"] == want
+    out = pa.concat_tables(
+        turn_ordering_violations(ds).iter_batches(batch_format="pyarrow"))
+    assert out.schema.field("conv_id").type == pa.int64()
+    assert dict(Counter(out["error_type"].to_pylist())) == \
+        {k: n for k, n in want.items() if n}
+    assert set(out["conv_id"].to_pylist()) == {0, 1, 2, None}
+
+
+@pytest.fixture(scope="module")
+def job_corpus(tmp_path_factory):
+    """A ``write_transcripts`` corpus of 4 fragments, its plan and the
+    fold of its fragment manifests."""
+    from json_schema_ray.engine.manifest import (done_manifests,
+                                                 fold_manifests,
+                                                 plan_fingerprint,
+                                                 run_resumable_validation)
+    from json_schema_ray.engine.validate import compile_plan_for
+    from json_schema_ray.sources.transcripts import (VALIDATION_SCHEMA,
+                                                     write_transcripts)
+
+    root = tmp_path_factory.mktemp("differential")
+    data, out = str(root / "in"), str(root / "out")
+    write_transcripts(data, 3000, violation_rate=0.02, n_files=4)
+    files = sorted(glob.glob(os.path.join(data, "*.parquet")))
+    plan = compile_plan_for(VALIDATION_SCHEMA, pq.read_schema(files[0]),
+                            key_columns=["conv_id", "turn_idx"])
+    run_resumable_validation(files, out, plan)
+    manifests = done_manifests(out, files, plan_fingerprint(plan))
+    return {"files": files, "plan": plan,
+            "folded": fold_manifests(list(manifests.values()))}
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("blocks", [1, 6, 40])
+def test_fused_pass_manifests_and_key_pass_agree(job_corpus, blocks):
+    """The fused pass, the fold of the fragment manifests and the key
+    pass give the same counters, stats table and ordering counts over
+    one corpus in 1, 6 or 40 blocks; the ordering counts are
+    DuckDB's."""
+    import duckdb
+    import ray
+
+    from json_schema_ray.engine.keys import key_checks
+    from json_schema_ray.engine.validate import full_validation_pass
+
+    files, folded = job_corpus["files"], job_corpus["folded"]
+    fused = full_validation_pass(
+        ray.data.read_parquet(files).repartition(blocks),
+        job_corpus["plan"], presorted=False)
+    keys = key_checks(ray.data.read_parquet(
+        files, columns=["conv_id", "turn_idx", "ts"]).repartition(blocks))
+
+    assert folded["invalid_rows"] > 0
+    for k in ("total_rows", "valid_rows", "invalid_rows",
+              "violation_rows", "violations_by_type"):
+        assert fused[k] == folded[k], k
+    assert fused["stats"].to_pylist() == folded["stats"].to_pylist()
+    want = duckdb_keys(duckdb.connect(), _rel(files))
+    assert fused["ordering_violation_counts"] == \
+        keys["ordering_violations"] == want["ordering_violations"]
+    assert sum(want["ordering_violations"].values()) > 0
