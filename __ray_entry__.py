@@ -1725,9 +1725,9 @@ def q_events_moving_sum(sf_dir: str):
 
 def q_user_event_ntile(sf_dir: str):
     """SQL ROW_NUMBER + NTILE(4) per user ordered by (ts, event_id)
-    (engine/rank.py grouped_ntile): one sort + prefix scan with
-    O(n_blocks) carries for the row numbers, one broadcast
-    key-count aggregate for the tile split."""
+    (engine/rank.py grouped_ntile): one sort and one carry scan; each
+    block carries the row counts of its first and last users, which
+    give the row numbers and totals of users spanning blocks."""
     from json_schema_ray.engine.rank import grouped_ntile
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
@@ -4863,8 +4863,8 @@ def q_user_online_coverage(sf_dir: str):
 def q_orders_price_by_date_decile(sf_dir: str):
     """Calibration curve over the corpus timeline: orders split into
     exact date deciles (engine/rank.py grouped_ntile over a constant
-    partition — the deliberate one-hot-key case its O(blocks)-carry
-    sort handles) and each decile reports its exact order count and
+    partition — the deliberate one-hot-key case its one sort and
+    O(blocks) row-count carries handle) and each decile reports its exact order count and
     summed / floor-mean price in e2 fixed point — the binned-means
     shape drift dashboards chart."""
     from json_schema_ray.engine.rank import grouped_ntile
@@ -6733,8 +6733,8 @@ def q_events_value_interp(sf_dir: str):
     straight-line estimate between its user's nearest non-null
     neighbors in (ts, event_id) order, e4 fixed point, all-integer
     lerp (millisecond deltas, sign-split truncating division) so the
-    IGNORE-NULLS-window SQL twin is hash-exact. One-sided rows stay
-    NULL."""
+    IGNORE-NULLS-window SQL twin is hash-exact. One sort and one
+    carry scan find both neighbors. One-sided rows stay NULL."""
     from json_schema_ray.engine.rank import grouped_linear_interpolate
 
     ds = _read(sf_dir, "events",

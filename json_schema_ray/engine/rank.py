@@ -11,9 +11,10 @@ edge rows — driver memory is O(k * n_blocks), independent of any
 single group's row count, and no per-group Python (``map_groups``)
 runs anywhere.
 
-The ordered-window operators (running sums and maxima, moving-window
-sum/median/extrema/distinct count, lag/lead, forward fill, trailing
-concatenation) and the exact quantile pair all run on the one
+The ordered-window operators (running sums and maxima, row numbers
+and ntile, moving-window sum/median/extrema/distinct count, lag/lead,
+forward fill, linear interpolation, trailing concatenation) and the
+exact quantile pair all run, one pass each, on the one
 sort-scan-carry round-trip of :mod:`.sorted_scan`
 (:func:`.sorted_scan.sorted_carry`): one null-safe range-partitioned
 sort, a vectorized scan per sorted block, O(n_blocks) carry rows
@@ -621,10 +622,6 @@ def grouped_rank_profiles(ds, key: str, col: str):
     tot_ref = ray.put(tot)
 
     def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(
-                "pct_rank", pa.array([], pa.float64())).append_column(
-                "cume_dist", pa.array([], pa.float64()))
         t = ray.get(tot_ref)
         idx = pc.index_in(batch[key].combine_chunks(),
                           value_set=t[key].combine_chunks())
@@ -699,70 +696,64 @@ def global_row_numbers(ds, ts: str, tiebreak: str,
         batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _ntile(rn, n, k: int):
+    """ANSI ntile of 1-based row numbers ``rn`` in groups of ``n``
+    rows: the first ``n % k`` tiles are one row larger."""
+    q, r = n // k, n % k
+    big_span = r * (q + 1)  # rows covered by the (q+1)-sized tiles
+    return np.where(rn <= big_span,
+                    (rn - 1) // np.maximum(q + 1, 1) + 1,
+                    r + (rn - big_span - 1) // np.maximum(q, 1) + 1)
+
+
 def grouped_ntile(ds, key: str, ts: str, tiebreak: str, k: int,
                   out: str = "ntile", rn_out: str = "row_number"):
     """SQL ``ntile(k) OVER (PARTITION BY key ORDER BY ts,
     tiebreak)`` plus the row_number it is derived from: the key's n
     rows split into k tiles, the first ``n % k`` tiles one row
     larger (the ANSI distribution). Rows keep their full width.
+    ``(ts, tiebreak)`` must be unique per key, numeric/temporal only
+    (the :func:`cumulative_sum` contract).
 
-    Shape: :func:`grouped_row_numbers` (one sort + prefix scan +
-    O(n_blocks) carries) plus ONE key-cardinality-sized row-count
-    aggregate broadcast via ``ray.put`` — same totals-broadcast
-    bound as :func:`grouped_rank_profiles`; beyond worker-heap key
-    cardinality, join totals back with a sort-merge join instead."""
-    import ray
-
-    from .relational import null_safe_grouped_aggregate
-
+    Shape: ONE :func:`sorted_carry`. A key that starts and ends in a
+    block finishes in the scan. Each block carries one row per first
+    and last key segment (one if they are the same), anchored at the
+    segment's first row and holding its row count; the fold gives
+    each key its cumulative counts. A pending row's row_number is its
+    in-block position plus the counts of its key's carries before its
+    block, and its key's total is the sum of all of them. Driver
+    state is O(n_blocks), independent of key cardinality."""
     if k < 1:
         raise ValueError(f"ntile k must be >= 1, got {k}")
-    numbered = grouped_row_numbers(ds, key, ts, tiebreak,
-                                   out=rn_out).materialize()
-    totals = null_safe_grouped_aggregate(
-        numbered.map_batches(lambda b: b.select([key]),
-                             batch_format="pyarrow",
-                             zero_copy_batch=True),
-        [key], [_count_agg()], ["cnt"])
-    tot_tables = [pa.Table.from_batches([b])
-                  if isinstance(b, pa.RecordBatch) else b
-                  for b in totals.iter_batches(batch_format="pyarrow")]
-    tot_tables = [t for t in tot_tables if t.num_rows]
-    if not tot_tables:
-        return numbered.map_batches(
-            lambda b: b.append_column(out, pa.array([], pa.int64())),
-            batch_format="pyarrow", zero_copy_batch=True)
-    tot = pa.concat_tables(tot_tables, promote_options="default")
-    tot_ref = ray.put(tot)
 
-    def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(out, pa.array([], pa.int64()))
-        t = ray.get(tot_ref)
-        karr = batch[key].combine_chunks()
-        tv = t[key].combine_chunks()
-        idx = pc.index_in(karr, value_set=tv)
-        if karr.null_count:
-            # index_in maps a null needle to null, but NULL is a real
-            # partition (one row per null-key row of tot, which was
-            # built from this very dataset)
-            null_pos = int(np.nonzero(
-                pc.is_null(tv).to_numpy(zero_copy_only=False))[0][0])
-            idx = pc.fill_null(idx, null_pos)
-        n = t["cnt"].combine_chunks().take(idx) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        rn = batch[rn_out].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        q, r = n // k, n % k
-        big_span = r * (q + 1)  # rows covered by the (q+1)-sized tiles
-        tile = np.where(
-            rn <= big_span,
-            (rn - 1) // np.maximum(q + 1, 1) + 1,
-            r + (rn - big_span - 1) // np.maximum(q, 1) + 1)
-        return batch.append_column(out, pa.array(tile, pa.int64()))
+    def scan(batch: pa.Table, seg_ids, starts):
+        n = batch.num_rows
+        size = np.append(starts[1:], n) - starts
+        rn = np.arange(n) - starts[seg_ids] + 1
+        last = len(starts) - 1
+        edge = np.unique([0, last])
+        return None, {rn_out: pa.array(rn, pa.int64()),
+                      out: pa.array(_ntile(rn, size[seg_ids], k),
+                                    pa.int64())}, \
+            (seg_ids == 0) | (seg_ids == last), starts[edge], \
+            {"__n": pa.array(size[edge], pa.int64())}
 
-    return numbered.map_batches(attach, batch_format="pyarrow",
-                                zero_copy_batch=True)
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        if not groups:
+            return kept
+        rn, tile = _np(kept[rn_out]).copy(), _np(kept[out]).copy()
+        for rows, pos, pre in groups:
+            rn[rows] += pre[pos]
+            tile[rows] = _ntile(rn[rows], pre[-1], k)
+        for c, v in ((rn_out, rn), (out, tile)):
+            kept = kept.set_column(kept.column_names.index(c), c,
+                                   pa.array(v, pa.int64()))
+        return kept
+
+    return sorted_carry(
+        ds, [key], [ts, tiebreak], "grouped_ntile", scan,
+        lambda t: np.append(0, np.cumsum(_np(t["__n"]))), resolve,
+        drop=["__n"])
 
 
 def grouped_exact_quantiles(ds, key: str, col: str, qs,
@@ -1545,95 +1536,121 @@ def grouped_linear_interpolate(ds, key, ts: str, value: str,
                                out: str = "interp"):
     """Per-key LINEAR interpolation of missing values: every NULL
     ``value`` row gains the straight-line estimate between its key's
-    nearest non-null neighbors in ``(ts, tiebreak)`` order; non-null
-    rows keep their own (quantized) value; rows with no neighbor on
-    one side stay NULL — the imputation step one past LOCF
-    (:func:`grouped_forward_fill`). Output column ``out`` is
-    ``floor(v * scale + 0.5)`` int64 fixed point, and the arithmetic
-    is ALL integer — ``vp + sign_split((vn - vp) * dt_ms // dn_ms)``
-    with millisecond tick deltas and DuckDB-style truncating
-    division — so the SQL twin (IGNORE NULLS window frames + the
-    same integer expression) is hash-exact. Envelope:
-    |v_e| * gap_ms must stay under 2^63 (1e10 quantized units x
-    1e8 ms holds with 10x margin).
+    nearest non-null neighbors in ``(ts, tiebreak)`` order (``ts`` in
+    microseconds, NULLs last); non-null rows keep their own
+    (quantized) value; rows with no neighbor on one side stay NULL —
+    the imputation step one past LOCF (:func:`grouped_forward_fill`).
+    Output column ``out`` is ``floor(v * scale + 0.5)`` int64 fixed
+    point, and the arithmetic is ALL integer — ``vp +
+    sign_split((vn - vp) * dt_ms // dn_ms)`` with millisecond tick
+    deltas and DuckDB-style truncating division — so the SQL twin
+    (IGNORE NULLS window frames + the same integer expression) is
+    hash-exact. A row whose next neighbor has a NULL ``ts`` takes
+    ``vp``, as the SQL twin's NULL ``tn`` adds 0. Envelope: |v_e| *
+    gap_ms must stay under 2^63 (1e10 quantized units x 1e8 ms holds
+    with 10x margin).
 
-    Shape: FOUR :func:`grouped_forward_fill` passes — (value, its
-    ts) forward and the same pair on the negated axis. The value
-    and value-ts columns share one validity mask, so each pass pair
-    picks the SAME source row by construction; each pass is one
-    null-safe sort + O(blocks) carries, nothing new to prove. A
-    fused two-direction single-sort variant is the optimization
-    path if this ever dominates a pipeline."""
+    Shape: ONE :func:`sorted_carry`. The scan finds each row's
+    previous and next non-null in its key segment (a forward max- and
+    a reversed min-accumulate of valid indices). Each block carries
+    <= 2 rows: the first non-null of its first key segment, for
+    earlier blocks, and the last non-null of its last key segment,
+    for later ones. Pending rows are the first-segment rows before
+    its first non-null and the last-segment rows after its last one;
+    they take their key's latest carry before the block and its
+    earliest carry after it. A single-key block's own first non-null
+    is anchored inside the block, so the resolve skips it by
+    ``__blk``. Driver state is O(n_blocks). ``(ts, tiebreak)`` must be
+    unique per key, numeric/temporal only (the :func:`cumulative_sum`
+    contract)."""
     from .relational import _int64_us
 
+    keys = [key] if isinstance(key, str) else list(key)
+    near = ("__vp", "__tp", "__vn", "__tn")
+
     def prep(b: pa.Table) -> pa.Table:
-        tu = _int64_us(b[ts])
-        v = pc.cast(b[value], pa.float64())
         ve = pc.cast(pc.floor(pc.add(pc.multiply(
-            v, float(scale)), 0.5)), pa.int64())
-        tv = pc.if_else(pc.is_valid(ve), tu, pa.scalar(None, pa.int64()))
-        zero = pa.scalar(0, pa.int64())
-        out_cols = {c: b[c] for c in b.column_names}
-        out_cols["__tu"] = tu
-        out_cols["__ve"] = ve
-        out_cols["__tv"] = tv
-        out_cols["__ntu"] = pc.subtract(zero, tu)
-        out_cols["__ntb"] = pc.subtract(
-            zero, pc.cast(b[tiebreak], pa.int64()))
-        return pa.table(out_cols)
+            pc.cast(b[value], pa.float64()), float(scale)), 0.5)),
+            pa.int64())
+        return b.append_column("__tu", _int64_us(b[ts])) \
+            .append_column("__ve", ve)
 
-    base = ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    f = grouped_forward_fill(base, key, "__tu", "__ve", tiebreak,
-                             out="__vp")
-    f = grouped_forward_fill(f, key, "__tu", "__tv", tiebreak,
-                             out="__tp")
-    f = grouped_forward_fill(f, key, "__ntu", "__ve", "__ntb",
-                             out="__vn")
-    f = grouped_forward_fill(f, key, "__ntu", "__tv", "__ntb",
-                             out="__tn")
+    def scan(batch: pa.Table, seg_ids, starts):
+        n = batch.num_rows
+        ve, tu = (batch[c].combine_chunks() for c in ("__ve", "__tu"))
+        valid = pc.is_valid(ve).to_numpy(zero_copy_only=False)
+        i = np.arange(n)
+        li = np.maximum.accumulate(np.where(valid, i, -1))
+        ni = np.minimum.accumulate(np.where(valid, i, n)[::-1])[::-1]
+        ends = np.append(starts[1:], n)
+        hp, hn = li >= starts[seg_ids], ni < ends[seg_ids]
+        last = len(starts) - 1
+        pend = ~valid & (((seg_ids == 0) & ~hp)
+                         | ((seg_ids == last) & ~hn))
 
-    def finish(b: pa.Table) -> pa.Table:
-        ve = b["__ve"].combine_chunks()
-        have = pc.is_valid(ve).to_numpy(zero_copy_only=False)
-        vp = b["__vp"].combine_chunks()
-        vn = b["__vn"].combine_chunks()
-        both = (pc.is_valid(vp).to_numpy(zero_copy_only=False)
-                & pc.is_valid(vn).to_numpy(zero_copy_only=False)
-                & ~have)
-        n = b.num_rows
-        res = np.zeros(n, np.int64)
-        ok = have | both
-        ven = pc.fill_null(ve, 0).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        res[have] = ven[have]
-        if both.any():
-            vpn = pc.fill_null(vp, 0).to_numpy(zero_copy_only=False)
-            vnn = pc.fill_null(vn, 0).to_numpy(zero_copy_only=False)
-            tpn = pc.fill_null(b["__tp"], 0) \
-                .to_numpy(zero_copy_only=False)
-            tnn = pc.fill_null(b["__tn"], 0) \
-                .to_numpy(zero_copy_only=False)
-            tun = b["__tu"].combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            dt = (tun - tpn) // 1000
-            dn = (tnn - tpn) // 1000
-            dv = vnn - vpn
-            num = dv * dt
-            step = np.where(num >= 0,
-                            num // np.maximum(dn, 1),
-                            -((-num) // np.maximum(dn, 1)))
-            lerp = vpn + np.where(dn > 0, step, 0)
-            res[both] = lerp[both]
-        drop = [c for c in ("__tu", "__ve", "__tv", "__ntu", "__ntb",
-                            "__vp", "__tp", "__vn", "__tn")
-                if c in b.column_names]
-        return b.drop_columns(drop).append_column(
-            out, pa.array(np.where(ok, res, 0), pa.int64(),
-                          mask=~ok))
+        def at(col, has, idx):
+            return col.take(pa.array(idx, mask=~has))
 
-    return f.map_batches(finish, batch_format="pyarrow",
-                         zero_copy_batch=True)
+        cols = dict(zip(near, (at(ve, hp, li), at(tu, hp, li),
+                               at(ve, hn, ni), at(tu, hn, ni))))
+        # kind 0 serves earlier blocks, kind 1 later ones
+        cidx, kind = [], []
+        if hn[0]:
+            cidx.append(ni[0])
+            kind.append(0)
+        if hp[-1]:
+            cidx.append(li[-1])
+            kind.append(1)
+        return None, cols, pend, cidx, {"__ck": pa.array(kind, pa.int8())}
+
+    def ints(col):
+        return pc.fill_null(col, 0).to_numpy(zero_copy_only=False) \
+            .astype(np.int64), pc.is_valid(col).to_numpy(
+                zero_copy_only=False).copy()
+
+    def fold(t: pa.Table):
+        return (_np(t["__ck"]), ints(t["__ve"])[0]) + ints(t["__tu"]) \
+            + (_np(t["__blk"]),)
+
+    def resolve(kept: pa.Table, groups) -> pa.Table:
+        (vp, hp), (tp, tpv), (vn, hn), (tn, tnv) = (
+            ints(kept[c]) for c in near)
+        blk = _np(kept["__blk"])
+        for rows, pos, (kind, cv, ct, ctv, cb) in groups:
+            # previous: the key's latest kind-1 carry before the block
+            lp = np.maximum.accumulate(
+                np.where(kind == 1, np.arange(len(kind)), -1))
+            q = np.where(pos > 0, lp[np.maximum(pos - 1, 0)], -1)
+            ok = ~hp[rows] & (q >= 0)
+            r, q = rows[ok], q[ok]
+            vp[r], tp[r], tpv[r], hp[r] = cv[q], ct[q], ctv[q], True
+            # next: the key's earliest kind-0 carry after the block;
+            # the row's own block's one sits at ``pos`` and is skipped
+            nx = np.nonzero(kind == 0)[0]
+            if not len(nx):
+                continue
+            j = np.searchsorted(nx, pos)
+            j += (j < len(nx)) & (cb[nx[np.minimum(j, len(nx) - 1)]]
+                                  == blk[rows])
+            ok = ~hn[rows] & (j < len(nx))
+            r, q = rows[ok], nx[j[ok]]
+            vn[r], tn[r], tnv[r], hn[r] = cv[q], ct[q], ctv[q], True
+        (ve, have), (tu, tuv) = ints(kept["__ve"]), ints(kept["__tu"])
+        dt = (tu - tp) // 1000
+        dn = (tn - tp) // 1000
+        num = (vn - vp) * dt
+        step = np.where(num >= 0, num // np.maximum(dn, 1),
+                        -((-num) // np.maximum(dn, 1)))
+        lerp = vp + np.where((dn > 0) & tpv & tnv & tuv, step, 0)
+        ok = have | (hp & hn)
+        return kept.append_column(out, pa.array(
+            np.where(have, ve, np.where(ok, lerp, 0)), pa.int64(),
+            mask=~ok))
+
+    return sorted_carry(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        keys, ["__tu", tiebreak], "grouped_linear_interpolate", scan,
+        fold, resolve, drop=["__tu", "__ve", "__ck", *near])
 
 
 def grouped_weighted_median(ds, key: str, value: str, weight: str,

@@ -923,7 +923,7 @@ def lm_quality_buckets(ds, id_column: str = "doc_id",
     orders identically (IEEE division, ties broken by id). NTILE
     semantics are ANSI (first ``n % k`` buckets one row larger) via
     :func:`rank.grouped_ntile` over ONE constant partition key —
-    a global doc-sized sort, exact like SQL.
+    one global doc-sized sort and one carry scan, exact like SQL.
 
     ``approx=True`` is the sort-free 10^12-doc path: ONE mergeable
     t-digest pass (:func:`stats.grouped_approx_quantiles`) yields

@@ -4776,6 +4776,46 @@ _W3 = ("(PARTITION BY k ORDER BY ts, tb"
 _RUN = "(PARTITION BY k ORDER BY ts, tb ROWS UNBOUNDED PRECEDING)"
 _QS = (0.25, 0.5, 0.9)
 
+def _interp_sql(tb):
+    """DuckDB twin of ``grouped_linear_interpolate(t, "k", "ts", "v",
+    tb)`` in the registry oracle's shape: ``(tb, interp)`` rows, the
+    order on ``epoch_us(ts)``."""
+    return f"""
+        WITH e AS (
+          SELECT {tb}, k, epoch_us(ts) AS tu,
+                 CAST(floor(v * 1e4 + 0.5) AS BIGINT) AS ve FROM t),
+        w AS (
+          SELECT {tb}, tu, ve,
+                 last_value(ve IGNORE NULLS) OVER pw AS vp,
+                 last_value(CASE WHEN ve IS NOT NULL THEN tu END
+                            IGNORE NULLS) OVER pw AS tp,
+                 first_value(ve IGNORE NULLS) OVER nw AS vn,
+                 first_value(CASE WHEN ve IS NOT NULL THEN tu END
+                             IGNORE NULLS) OVER nw AS tn
+          FROM e WINDOW
+            pw AS (PARTITION BY k ORDER BY tu, {tb} ROWS BETWEEN
+                   UNBOUNDED PRECEDING AND CURRENT ROW),
+            nw AS (PARTITION BY k ORDER BY tu, {tb} ROWS BETWEEN
+                   CURRENT ROW AND UNBOUNDED FOLLOWING))
+        SELECT {tb}, CAST(CASE
+          WHEN ve IS NOT NULL THEN ve
+          WHEN vp IS NULL OR vn IS NULL THEN NULL
+          ELSE vp + CASE
+            WHEN (tn - tp) // 1000 > 0 THEN
+              CASE WHEN (vn - vp) * ((tu - tp) // 1000) >= 0
+                THEN ((vn - vp) * ((tu - tp) // 1000))
+                     // ((tn - tp) // 1000)
+                ELSE -((-((vn - vp) * ((tu - tp) // 1000)))
+                       // ((tn - tp) // 1000))
+              END
+            ELSE 0
+          END
+        END AS BIGINT) FROM w"""
+
+
+_NTILE_SQL = ("SELECT tb, row_number() OVER w, ntile(4) OVER w FROM t"
+              " WINDOW w AS (PARTITION BY k ORDER BY ts, tb)")
+
 # name -> (operator call, its output as tuples, the DuckDB twin)
 _NS_CASES = {
     "windowed_sum": (
@@ -4799,6 +4839,13 @@ _NS_CASES = {
         # the operator emits NULL, not 0, on an empty frame
         f"SELECT tb, CASE WHEN count(v) OVER {_W3} > 0"
         f" THEN count(DISTINCT v) OVER {_W3} END FROM t"),
+    "grouped_linear_interpolate": (
+        lambda r, ds: r.grouped_linear_interpolate(ds, "k", "ts", "v",
+                                                   "tb"),
+        _rows_of("tb", "interp"), _interp_sql("tb")),
+    "grouped_ntile": (
+        lambda r, ds: r.grouped_ntile(ds, "k", "ts", "tb", 4),
+        _rows_of("tb", "row_number", "ntile"), _NTILE_SQL),
     "grouped_forward_fill": (
         lambda r, ds: r.grouped_forward_fill(ds, "k", "ts", "v", "tb"),
         _rows_of("tb", "filled"),
@@ -7228,6 +7275,134 @@ def test_grouped_linear_interpolate_matches_bruteforce():
             dt, dn = (tu - tp) // 1000, (tn - tp) // 1000
             want = vp + (trunc((vn - vp) * dt, dn) if dn > 0 else 0)
             assert got[e] == want, (e, got[e], want)
+
+
+def _duckdb_rows(t, sql):
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", t)
+    return sorted(con.execute(sql).fetchall(), key=repr)
+
+
+def _interp_rows(t, blocks):
+    from json_schema_ray.engine.rank import grouped_linear_interpolate
+
+    out = grouped_linear_interpolate(
+        _ray().data.from_arrow(t).repartition(blocks), "k", "ts", "v",
+        "eid")
+    return sorted(((r["eid"], r["interp"]) for r in out.take_all()),
+                  key=repr)
+
+
+def _us(values):
+    return pa.array(values, pa.int64()).cast(pa.timestamp("us"))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_linear_interpolate_null_ts_rows(blocks):
+    """NULL ``ts`` rows sort last in the key, in both directions: eid
+    6 (4e6, NULL) lies between eid 3's 3.0 and eid 5's 7.0, whose ts
+    is NULL, so the SQL twin's NULL ``tn`` adds 0 and eid 6 takes
+    30000. A pass on a negated order axis put the NULL-ts rows last
+    on it too, and gave eid 6 NULL."""
+    t = pa.table({
+        "k": pa.array([1] * 6, pa.int64()),
+        "ts": _us([1_000_000, 2_000_000, 3_000_000, None, None,
+                   4_000_000]),
+        "eid": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+        "v": pa.array([1.0, None, 3.0, None, 7.0, None])})
+    got = _interp_rows(t, blocks)
+    assert got == _duckdb_rows(t, _interp_sql("eid"))
+    assert dict(got)[6] == 30_000
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_linear_interpolate_int64_min_tiebreak(blocks):
+    """An INT64_MIN tiebreak orders first among equal ``ts``: the
+    NULL row at (2e6, INT64_MIN) lies between 1.0 and (2e6, 0, 2.0),
+    so it interpolates to 20000. Negating the tiebreak wrapped
+    INT64_MIN onto itself and gave 50000."""
+    t = pa.table({
+        "k": pa.array([1, 1, 1], pa.int64()),
+        "ts": _us([1_000_000, 2_000_000, 2_000_000]),
+        "eid": pa.array([1, -(1 << 63), 0], pa.int64()),
+        "v": pa.array([1.0, None, 2.0])})
+    got = _interp_rows(t, blocks)
+    assert got == _duckdb_rows(t, _interp_sql("eid"))
+    assert dict(got)[-(1 << 63)] == 20_000
+
+
+def _ordered_window_table(n):
+    """Rows for the ordered-window operators across many blocks. Key
+    7 is hot (80% of the rows, on a 1 s ts grid in row order): its
+    first rows are mostly non-null, then a NULL-value run of 70% of
+    the table, so the run covers whole blocks and a block can hold
+    key 7 alone with a value and then trailing NULLs; its last rows
+    end in NULLs (one-sided). The other rows have a nullable int64
+    key (0–4 or NULL; three rows in all at 12 rows, so each of those
+    groups is smaller than ntile's 4), random ts and 40% NULL values.
+    5% of ``ts`` is NULL; ``eid`` is a unique int64; ``g`` is one
+    constant partition."""
+    rng = np.random.default_rng(1000 + n)
+    hot = int(0.8 * n)
+    i = np.arange(hot)
+    v = np.round(rng.normal(0, 30, n), 3)
+    vmiss = rng.random(n) < 0.4
+    vmiss[:hot] = (i >= n // 10) & (i < n // 10 + int(0.7 * n)) \
+        | (i >= hot - 2) | (rng.random(hot) < 0.2)
+    k = np.full(n, 7).astype(object)
+    k[hot:] = rng.integers(0, 5, n - hot)
+    k[hot:][rng.random(n - hot) < 0.2] = None
+    base = 1_700_000_000_000_000
+    ts = base + np.concatenate(
+        [i * 1_000_000, rng.integers(0, hot, n - hot) * 1_000_000 + 7])
+    ts = ts.astype(object)
+    ts[rng.random(n) < 0.05] = None
+    perm = rng.permutation(n)
+    return pa.table({
+        "k": pa.array(k.tolist(), pa.int64()),
+        "ts": _us(ts.tolist()),
+        "eid": pa.array(rng.permutation(n) - n // 2, pa.int64()),
+        "v": pa.array(v, mask=vmiss),
+        "g": pa.array(np.zeros(n, np.int64)),
+    }).take(pa.array(perm))
+
+
+_WINDOW_BLOCKS = pytest.mark.parametrize(
+    "n,blocks", [(400, 1), (400, 6), (400, 40), (12, 40)],
+    ids=["400x1", "400x6", "400x40", "12x40"])
+
+
+@_WINDOW_BLOCKS
+def test_linear_interpolate_multi_block_matches_duckdb(n, blocks):
+    """One sort and one carry scan give DuckDB's IGNORE NULLS
+    interpolation when carries must skip blocks of NULLs in both
+    directions, a single-key block's own first value must not serve
+    its trailing NULLs, and rows are one-sided; with a nullable key
+    and NULL ts."""
+    t = _ordered_window_table(n)
+    assert _interp_rows(t, blocks) == _duckdb_rows(
+        t.drop_columns(["g"]), _interp_sql("eid"))
+
+
+@_WINDOW_BLOCKS
+def test_ntile_multi_block_matches_duckdb(n, blocks):
+    """Row numbers and ntile from one carry scan over the same
+    blocks: ntile(4) over a nullable key (at 12 rows, k is larger
+    than every group), and ntile(10) over one constant partition
+    (the date-decile shape, one key in every block)."""
+    from json_schema_ray.engine.rank import grouped_ntile
+
+    t = _ordered_window_table(n)
+    for key, k in (("k", 4), ("g", 10)):
+        out = grouped_ntile(_ray().data.from_arrow(t).repartition(blocks),
+                            key, "ts", "eid", k)
+        got = sorted(((r["eid"], r["row_number"], r["ntile"])
+                      for r in out.take_all()), key=repr)
+        assert got == _duckdb_rows(t, f"""
+            SELECT eid, row_number() OVER w, ntile({k}) OVER w FROM t
+            WINDOW w AS (PARTITION BY {key} ORDER BY ts, eid)"""), key
 
 
 def test_grouped_weighted_median_matches_bruteforce():
