@@ -11,18 +11,21 @@ carry round-trip live here and nowhere else.
 - Empty blocks: when a dataset has more blocks than rows, the sort
   emits blocks with no rows and no columns. Ray Data's
   ``map_batches`` passes a zero-row block on without calling its
-  function, so every scan, carry filter and resolve below sees a
-  non-empty block with its columns; the driver fold skips zero-row
-  batches. No operator guards for them.
+  function, so every scan and resolve below sees a non-empty block
+  with its columns. The carry read skips the blocks whose metadata
+  counts zero rows, and the driver fold skips zero-row batches. No
+  operator guards for them.
 - :func:`sorted_carry` is the sort-scan-carry round-trip: one sort
-  and scan in one ``materialize``, a distributed carry filter, one
-  driver fold, one ``ray.put`` and a lazy distributed resolve.
+  and scan in one ``materialize``, one carry filter task per scanned
+  block, one driver fold, one ``ray.put`` and a lazy distributed
+  resolve. Consumed, it is two Ray Data executions.
   :func:`stitch` builds on it for operators whose per-key-segment
   partial rows merge across block edges and are emitted once.
 """
 
 from __future__ import annotations
 
+import functools
 import uuid
 from typing import List
 
@@ -318,6 +321,18 @@ def _with(t: pa.Table, name: str, col) -> pa.Table:
     return t.append_column(name, col)
 
 
+def _carry_rows(block: pa.Table) -> pa.Table:
+    """The carry rows of one scanned block."""
+    return block.filter(pc.equal(block["__rt"], 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _carry_rows_task():
+    import ray
+
+    return ray.remote(_carry_rows)
+
+
 def sorted_carry(ds, keys: List[str], order: List[str], op: str, scan,
                  fold, resolve, forward: bool = False, drop=()):
     """:func:`carry_scan` over ``ds`` sorted by ``(keys, order)`` with
@@ -333,8 +348,9 @@ def carry_scan(sorted_ds, keys: List[str], anchor: List[str], op: str,
     per sorted block, O(n_blocks) carry rows folded on the driver and
     broadcast once, then a lazy distributed resolve of the rows that
     need state from other blocks. The scan runs in one
-    ``materialize``, then the carry read; the resolve runs when the
-    caller consumes it.
+    ``materialize``. The carry rows are then read from its blocks, one
+    filter task per block, without another Ray Data execution. The
+    resolve runs when the caller consumes it.
 
     Sorted blocks are contiguous key ranges, so only a block's FIRST
     and LAST key segments can continue in another block, and a key's
@@ -422,13 +438,12 @@ def carry_scan(sorted_ds, keys: List[str], anchor: List[str], op: str,
     scanned = sorted_ds.map_batches(
         stamp, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    # only carry rows reach the driver: the filter runs distributed
-    def carry_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["__rt"], 2))
-
-    parts = [b for b in scanned.map_batches(
-        carry_only, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow") if b.num_rows]
+    # only carry rows reach the driver; the sort's column-less empty
+    # blocks have no __rt to filter on
+    blocks = [ref for bundle in scanned.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    parts = [b for b in ray.get([_carry_rows_task().remote(ref)
+                                 for ref in blocks]) if b.num_rows]
     state: dict = {}
     if parts:
         ct = pa.concat_tables(parts, promote_options="default")

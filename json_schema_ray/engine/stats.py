@@ -50,7 +50,7 @@ def _column_partial(name: str, col: pa.ChunkedArray, hll_p: int,
     }
     hll = HyperLogLog(hll_p)
     t = col.type
-    valid = col.drop_null()
+    valid = col.drop_null() if nulls else col
     if pa.types.is_integer(t) or pa.types.is_floating(t):
         if len(valid):
             vals = valid.combine_chunks().to_numpy(zero_copy_only=False)

@@ -1765,7 +1765,9 @@ def _emit_check_rows(col, cp: ColumnPlan, prop_idx, path_prefix: str,
         idxs = np.nonzero(fail.to_numpy(zero_copy_only=False))[0]
         if len(idxs) == 0:
             continue
-        failing_vals = col.take(pa.array(idxs)).to_pylist()
+        # a filter keeps idxs' order and, unlike a take, does not
+        # concatenate a chunked column first
+        failing_vals = col.filter(fail).to_pylist()
         for i, val in zip(idxs, failing_vals):
             if pa.types.is_timestamp(col.type):
                 val = _ts_to_str(val)

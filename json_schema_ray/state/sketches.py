@@ -104,13 +104,11 @@ def hash_strings(values) -> np.ndarray:
 
 def hash_string_array(col) -> np.ndarray:
     """Hash an Arrow string array/chunked-array without a pylist
-    round-trip (polars converts zero-copy)."""
+    round-trip (polars converts zero-copy, chunk by chunk, so a
+    chunked column is never concatenated)."""
     try:
         import polars as pl
-        import pyarrow as pa
 
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
         s = pl.from_arrow(col)
         return s.hash(seed=42).fill_null(0).to_numpy().astype(np.uint64)
     except ImportError:  # pragma: no cover

@@ -45,6 +45,34 @@ def test_hll_accuracy_and_merge():
     assert abs(m.estimate() - 100_000) / 100_000 < 0.05
 
 
+def test_string_hashes_ignore_chunking():
+    """A multi-chunk string column (an empty chunk and NULLs among its
+    chunks) hashes, sketches and profiles exactly as its combined
+    copy."""
+    from json_schema_ray.engine.stats import _column_partial
+    from json_schema_ray.state.sketches import (HyperLogLog,
+                                                hash_string_array)
+
+    rng = np.random.default_rng(3)
+    vals = [None if rng.random() < 0.1 else f"s{rng.integers(0, 900)}"
+            for _ in range(4000)]
+    chunked = pa.chunked_array(
+        [pa.array(vals[:1000]), pa.array([], pa.string())]
+        + [pa.array(vals[i:i + 500]) for i in range(1000, 4000, 500)])
+    combined = chunked.combine_chunks()
+    assert chunked.num_chunks == 8
+    h = hash_string_array(chunked)
+    assert np.array_equal(h, hash_string_array(combined))
+    a, b = HyperLogLog(12), HyperLogLog(12)
+    a.add_hashed(hash_string_array(chunked.drop_null()))
+    b.add_hashed(hash_string_array(combined.drop_null()))
+    assert np.array_equal(a.registers, b.registers)
+    no_nulls = pa.chunked_array([c.drop_null() for c in chunked.chunks])
+    for col in (chunked, no_nulls):
+        assert _column_partial("s", col, 12, True) == _column_partial(
+            "s", pa.chunked_array([col.combine_chunks()]), 12, True)
+
+
 def test_tdigest_quantiles():
     from json_schema_ray.state.sketches import TDigest
 

@@ -27,3 +27,32 @@ def test_all_queries_match_their_oracles():
     tail = "\n".join(out.stdout.strip().splitlines()[-5:])
     assert out.returncode == 0, f"oracle sweep failed:\n{tail}"
     assert ", 0 fail" in out.stdout, tail
+
+
+def test_sweep_sizes_ray_to_the_host(monkeypatch):
+    """The sweep starts Ray with the CPUs of its affinity mask, capped
+    by ``OMP_NUM_THREADS`` / ``OMP_THREAD_LIMIT``, never a fixed count
+    that starts more workers than the host runs; a small host still
+    gets the few logical CPUs an actor-pool query needs."""
+    import importlib.util
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "check_oracle", os.path.join(repo, "tools", "check_oracle.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(16)))
+    for var in ("OMP_NUM_THREADS", "OMP_THREAD_LIMIT"):
+        monkeypatch.delenv(var, raising=False)
+    assert mod.ray_cpus() == 16
+    monkeypatch.setenv("OMP_NUM_THREADS", "12")
+    assert mod.ray_cpus() == 12
+    monkeypatch.setenv("OMP_THREAD_LIMIT", "10")
+    assert mod.ray_cpus() == 10
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert mod.ray_cpus() == mod.MIN_CPUS
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.delenv("OMP_THREAD_LIMIT")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert mod.ray_cpus() == mod.MIN_CPUS

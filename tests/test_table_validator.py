@@ -68,6 +68,22 @@ def test_violation_rows_match_interpreter():
     assert got == expected
 
 
+def test_violation_rows_ignore_chunking():
+    """A batch split into many chunks, with failing cells in several
+    of them, gives the same violation table as its one-chunk copy:
+    the failing values are picked per chunk, in row order."""
+    t = generate_transcripts(3000, violation_rate=0.05).combine_chunks()
+    plan = compile_plan_for(VALIDATION_SCHEMA, t.schema,
+                            key_columns=["conv_id", "turn_idx"])
+    chunked = pa.Table.from_batches(t.to_batches(max_chunksize=97))
+    assert chunked.column("role").num_chunks > 30
+    failing_chunks = set(np.nonzero(~verdict_mask(t, plan))[0] // 97)
+    assert len(failing_chunks) > 5
+    one = validate_batch(t, plan)
+    assert one.num_rows > 0
+    assert validate_batch(chunked, plan).equals(one)
+
+
 def _plan_for(schema_json, table, **kw):
     return compile_plan_for(schema_json, table.schema, **kw)
 

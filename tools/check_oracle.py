@@ -3,6 +3,10 @@ oracle_sql() through DuckDB on the same parquet tables; compare row
 count, column names, and order-insensitive values.
 
 Usage: python tools/check_oracle.py [sf_dir] [name ...]
+
+Ray gets the CPUs this process may run on (its affinity mask), capped
+by ``OMP_NUM_THREADS`` / ``OMP_THREAD_LIMIT`` when they are set, and
+at least ``MIN_CPUS``; ``main(num_cpus=N)`` sets the count explicitly.
 """
 
 import os
@@ -38,19 +42,40 @@ def canonical(t):
     return sorted(rows)
 
 
-def main():
+# an actor-pool stage holds a logical CPU per actor for the life of
+# its pool, and the tasks around it wait for the CPUs left over: with
+# 1, docs_quality_budget's reads never start (a pool of 1 to 4
+# quality-score actors); with 4, neither do transcript_tool_args'
+# (validate_by_registry's 4 actors)
+MIN_CPUS = 8
+
+
+def ray_cpus() -> int:
+    """Logical CPUs for the sweep's Ray session: the CPUs this process
+    may use as ``nproc`` counts them (the affinity mask, capped by
+    ``OMP_NUM_THREADS`` / ``OMP_THREAD_LIMIT`` when the environment
+    sets them), but at least ``MIN_CPUS``."""
+    n = len(os.sched_getaffinity(0))
+    for var in ("OMP_NUM_THREADS", "OMP_THREAD_LIMIT"):
+        if os.environ.get(var, "").isdigit() and int(os.environ[var]) > 0:
+            n = min(n, int(os.environ[var]))
+    return max(n, MIN_CPUS)
+
+
+def main(argv=None, num_cpus=None):
     import duckdb
     import ray
 
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    argv = sys.argv[1:] if argv is None else argv
+    sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
+    only = set(argv[1:])
     # oracles whose SQL reads a generated corpus by path (e.g.
     # transcript_role_protocol) must build it at THIS sf, not the
     # driver default, or row counts diverge at sf != 0.01
     os.environ["JSR_PROTOCOL_SF_DIR"] = sf_dir
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
-             ignore_reinit_error=True)
+    ray.init(address="local", num_cpus=num_cpus or ray_cpus(),
+             include_dashboard=False, ignore_reinit_error=True)
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
