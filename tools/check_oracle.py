@@ -6,7 +6,7 @@ Usage: python tools/check_oracle.py [sf_dir] [name ...]
 
 Ray gets the CPUs this process may run on (its affinity mask), capped
 by ``OMP_NUM_THREADS`` / ``OMP_THREAD_LIMIT`` when they are set, and
-at least ``MIN_CPUS``; ``main(num_cpus=N)`` sets the count explicitly.
+at least ``MIN_CPUS``: on any host with 8 CPUs or fewer that is 8.
 """
 
 import os
@@ -54,7 +54,8 @@ def ray_cpus() -> int:
     """Logical CPUs for the sweep's Ray session: the CPUs this process
     may use as ``nproc`` counts them (the affinity mask, capped by
     ``OMP_NUM_THREADS`` / ``OMP_THREAD_LIMIT`` when the environment
-    sets them), but at least ``MIN_CPUS``."""
+    sets them), but at least ``MIN_CPUS``, so 8 on any host with 8
+    CPUs or fewer."""
     n = len(os.sched_getaffinity(0))
     for var in ("OMP_NUM_THREADS", "OMP_THREAD_LIMIT"):
         if os.environ.get(var, "").isdigit() and int(os.environ[var]) > 0:
@@ -62,20 +63,19 @@ def ray_cpus() -> int:
     return max(n, MIN_CPUS)
 
 
-def main(argv=None, num_cpus=None):
+def main():
     import duckdb
     import ray
 
-    argv = sys.argv[1:] if argv is None else argv
-    sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
-    only = set(argv[1:])
+    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+    only = set(sys.argv[2:])
     # oracles whose SQL reads a generated corpus by path (e.g.
     # transcript_role_protocol) must build it at THIS sf, not the
     # driver default, or row counts diverge at sf != 0.01
     os.environ["JSR_PROTOCOL_SF_DIR"] = sf_dir
 
-    ray.init(address="local", num_cpus=num_cpus or ray_cpus(),
-             include_dashboard=False, ignore_reinit_error=True)
+    ray.init(address="local", num_cpus=ray_cpus(), include_dashboard=False,
+             ignore_reinit_error=True)
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
